@@ -4,9 +4,10 @@ A statistic is a deterministic function of the observed hypergraph
 (with the template and leaked set baked in at construction); its
 advantage is the planted-vs-null mean gap normalized by the null
 standard deviation.  The harness computes that advantage exactly via
-the enumeration oracle at desk scale, and by seeded Monte Carlo
-otherwise.  Boolean statistics return {0, 1} reals so the advantage
-formula is uniform across statistics.
+the enumeration oracle at desk scale, where both ensembles are integer
+state counts over uint64 keys and the moments are exact integer sums,
+and by seeded Monte Carlo otherwise.  Boolean statistics return {0, 1}
+reals so the advantage formula is uniform across statistics.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from . import kernels
+from .ensemble import Ensemble, unpack
 from .errors import DegenerateNullVariance, GuardExceeded, ValidationError
 from .hypercore import Hypergraph, binom, induced, rank_subset, subset_table
 from .models import (ModelParams, Pmf, exact_pmf, sample_H, sample_null_bits,
@@ -278,24 +279,15 @@ def estimate_advantage(stat: Statistic, h: Hypergraph, params: ModelParams,
     )
 
 
-def _pmf_moments(pmf: Pmf, values: dict, depth: int):
-    out = [Fraction(0)] * depth
-    for key, mass in pmf.mass.items():
-        v = values[key]
-        acc = 1
-        for i in range(depth):
-            acc *= v
-            out[i] += mass * acc
-    return out
-
-
 def exact_advantage(stat: Statistic, h: Hypergraph, params: ModelParams,
                     pmfs: tuple[Pmf, Pmf] | None = None) -> AdvantageReport:
     """Advantage under the exact enumeration oracle; stderr is zero.
 
-    Statistic values are computed once per support point through the
-    batch path; integer-valued statistics keep the moment arithmetic in
-    exact rationals.  ``pmfs`` lets a caller evaluating several
+    The statistic is evaluated once, through the batch path, on the union
+    of the two supports.  For integer-valued statistics the moments are
+    exact integer sums over the ensembles' state counts and each reported
+    float is the correctly rounded rational value; other statistics fall
+    back to float sums.  ``pmfs`` lets a caller evaluating several
     statistics on one instance reuse the (planted, null) enumeration.
     """
     if pmfs is not None:
@@ -303,29 +295,28 @@ def exact_advantage(stat: Statistic, h: Hypergraph, params: ModelParams,
     else:
         planted = exact_pmf(h, params, "planted", rational=True)
         null = exact_pmf(h, params, "null", rational=True)
-    keys = sorted(planted.mass.keys() | null.mass.keys())
-    m = binom(params.n, params.r)
-    bits = np.zeros((len(keys), m), dtype=np.uint8)
-    for i, key in enumerate(keys):
-        for pos in range(m):
-            bits[i, pos] = (key >> pos) & 1
-    raw = stat.batch(bits)
+    p, q = planted.ensemble, null.ensemble
+    keys = np.union1d(p.keys, q.keys)
+    raw = stat.batch(unpack(keys, binom(params.n, params.r)))
     rounded = np.rint(raw)
-    if np.array_equal(raw, rounded):
-        values = {key: int(v) for key, v in zip(keys, rounded)}
+    if np.array_equal(raw, rounded) and np.abs(rounded).max(initial=0) < 2 ** 31:
+        values, moment = rounded.astype(np.int64), Ensemble.weighted_sum
     else:
-        values = {key: float(v) for key, v in zip(keys, raw)}
-    (mu_p,) = _pmf_moments(planted, values, 1)
-    mu_q, raw2 = _pmf_moments(null, values, 2)
-    var_q = raw2 - mu_q ** 2
-    if var_q == 0:
+        values, moment = raw, lambda ens, v: float(np.dot(ens.counts, v))
+    vp = values[np.searchsorted(keys, p.keys)]
+    vq = values[np.searchsorted(keys, q.keys)]
+    sum_p, sum_q, sum_q2 = moment(p, vp), moment(q, vq), moment(q, vq * vq)
+    dp, dq = p.denom, q.denom
+    var_num = sum_q2 * dq - sum_q * sum_q
+    if var_num <= 0:
         raise DegenerateNullVariance(
             f"statistic {stat.name!r} has zero variance under the null"
         )
-    adv = float(mu_p - mu_q) / math.sqrt(float(var_q))
+    var_q = var_num / (dq * dq)
+    adv = ((sum_p * dq - sum_q * dp) / (dp * dq)) / math.sqrt(var_q)
     return AdvantageReport(
-        statistic=stat.name, mean_planted=float(mu_p), mean_null=float(mu_q),
-        var_null=float(var_q), advantage=adv, stderr=0.0, mode="exact", trials=0,
+        statistic=stat.name, mean_planted=sum_p / dp, mean_null=sum_q / dq,
+        var_null=var_q, advantage=adv, stderr=0.0, mode="exact", trials=0,
     )
 
 

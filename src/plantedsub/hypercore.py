@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import GuardExceeded, ValidationError
 
 
 def binom(a: int, b: int) -> int:
@@ -113,9 +113,14 @@ def subset_table(n: int, r: int) -> np.ndarray:
 def _rank_prefix_tables(n: int, r: int) -> np.ndarray:
     """Prefix sums used by the vectorized ranker.
 
-    tables[j][c] = sum_{c' < c} C(n-1-c', j), for 0 <= c <= n.
-    Entries fit in int64 for every desk-scale (n, r) this package handles.
+    tables[j][c] = sum_{c' < c} C(n-1-c', j), for 0 <= c <= n; the
+    largest entry, tables[j][n], is C(n, j + 1), and every one must fit in
+    int64.
     """
+    top = max((binom(n, j + 1) for j in range(r)), default=0)
+    if top >= 1 << 63:
+        raise GuardExceeded(f"ranking r-subsets of n={n} vertices with r={r} needs "
+                            f"C(n, j) up to {top}, beyond the int64 limit 2^63 - 1")
     tables = np.zeros((r, n + 1), dtype=np.int64)
     for j in range(r):
         acc = 0

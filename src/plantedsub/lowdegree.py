@@ -35,6 +35,7 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import NamedTuple
 
+from .ensemble import covered_ranks, injection_count, injection_table
 from .errors import GuardExceeded, ValidationError
 from .hypercore import Hypergraph, binom, rank_subset, subset_table, unrank_subset
 from .models import EMBEDDING_GUARD, ModelParams
@@ -69,27 +70,6 @@ def index_vertices(alpha, n: int, r: int) -> frozenset[int]:
     return frozenset(vs)
 
 
-def _embedding_iter(params: ModelParams):
-    """Yield target tuples for every injection [0, k) -> [0, n) fixing L."""
-    leaked = set(params.L)
-    avail = [v for v in range(params.n) if v not in leaked]
-    free_src = [u for u in range(params.k) if u not in leaked]
-    targets = [0] * params.k
-    for u in params.L:
-        targets[u] = u
-    for sel in itertools.permutations(avail, len(free_src)):
-        for u, t in zip(free_src, sel):
-            targets[u] = t
-        yield targets
-
-
-def _embedding_count(params: ModelParams) -> int:
-    count = 1
-    for i in range(params.k - params.ell):
-        count *= params.n - params.ell - i
-    return count
-
-
 def fourier_coefficient(h: Hypergraph, params: ModelParams, alpha, rational: bool = True):
     """Planted expectation of the spin product over one character.
 
@@ -100,12 +80,12 @@ def fourier_coefficient(h: Hypergraph, params: ModelParams, alpha, rational: boo
     if h.n != params.k or h.r != params.r:
         raise ValidationError("template shape does not match params")
     idx = validate_fourier_index(alpha, params.n, params.r, params.L)
-    n_emb = _embedding_count(params)
+    n_emb = injection_count(params.n, params.k, params.ell)
     if n_emb > EMBEDDING_GUARD:
         raise GuardExceeded(f"{n_emb} embeddings exceed the guard {EMBEDDING_GUARD}")
     edges = [unrank_subset(a, params.n, params.r) for a in sorted(idx)]
     acc = 0
-    for targets in _embedding_iter(params):
+    for targets in injection_table(params.n, params.k, params.L).tolist():
         inv = {t: u for u, t in enumerate(targets)}
         prod = 1
         for e in edges:
@@ -164,7 +144,7 @@ def lr_squared_exact(h: Hypergraph, params: ModelParams, degree: int | None = No
         raise ValidationError("degree must be >= 1")
 
     leaked = set(params.L)
-    n_emb = _embedding_count(params)
+    n_emb = injection_count(params.n, params.k, params.ell)
     if n_emb > EMBEDDING_GUARD:
         raise GuardExceeded(f"{n_emb} embeddings exceed the guard {EMBEDDING_GUARD}")
 
@@ -177,12 +157,12 @@ def lr_squared_exact(h: Hypergraph, params: ModelParams, degree: int | None = No
     if work > LR_WORK_GUARD:
         raise GuardExceeded(f"{work} character terms exceed the guard {LR_WORK_GUARD}")
 
+    targets = injection_table(params.n, params.k, params.L)
+    ranks = covered_ranks(targets, params.k, params.r, params.n)[:, keep].tolist()
+    spins = [h_spins[j] for j in keep]
     acc: dict[frozenset[int], int] = {}
-    for targets in _embedding_iter(params):
-        cov = []
-        for j in keep:
-            rank = rank_subset(sorted(targets[int(v)] for v in k_subsets[j]), params.n)
-            cov.append((rank, h_spins[j]))
+    for row in ranks:
+        cov = list(zip(row, spins))
         for size in range(1, depth + 1):
             for combo in itertools.combinations(cov, size):
                 prod = 1

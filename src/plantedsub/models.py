@@ -8,27 +8,36 @@ template's restriction to the leaked set and is uniform elsewhere.  In
 both, the marginal law of the big hypergraph is uniform; the template
 and the leaked positions are what an observer gets to use.
 
-Desk-scale instances admit exact enumeration of either ensemble in
-rational arithmetic, which the rest of the package uses as the ground
-truth oracle for advantages and total-variation distances.
+Desk-scale instances admit exact enumeration of either ensemble, which
+the rest of the package uses as the ground truth oracle for advantages
+and total-variation distances.  An enumerated ensemble is an
+integer-count :class:`~plantedsub.ensemble.Ensemble` (uint64 state
+keys, int64 counts, one common denominator); total variation and
+chi-square reduce exactly on those counts, and a :class:`Pmf` shows
+them as a key -> Fraction mapping only when asked.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import kernels
+from .ensemble import (Ensemble, count_states, covered_ranks, injection_count,
+                       injection_table)
 from .errors import GuardExceeded, ValidationError
 from .hypercore import Embedding, Hypergraph, binom, rank_subset, subset_table
 
 PMF_COORD_GUARD = 20
 EMBEDDING_GUARD = 10_000_000
 STATE_GUARD = 30_000_000
+SAMPLE_COORD_GUARD = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -122,6 +131,15 @@ def _check_shapes(h: Hypergraph, params: ModelParams) -> None:
         )
 
 
+def _host_coords(params: ModelParams) -> int:
+    """C(n, r), refusing a host too large to draw as one bit vector."""
+    m = binom(params.n, params.r)
+    if m > SAMPLE_COORD_GUARD:
+        raise GuardExceeded(f"C(n, r) = C({params.n}, {params.r}) = {m} coordinates "
+                            f"exceed the sampling guard {SAMPLE_COORD_GUARD}")
+    return m
+
+
 def sample_planted(h: Hypergraph, params: ModelParams, rng: np.random.Generator) -> Hypergraph:
     """One planted draw: embed the template, fill the rest with fair coins.
 
@@ -131,7 +149,7 @@ def sample_planted(h: Hypergraph, params: ModelParams, rng: np.random.Generator)
     """
     _check_shapes(h, params)
     emb = sample_embedding(params, rng)
-    bits = rng.integers(0, 2, size=binom(params.n, params.r), dtype=np.uint8)
+    bits = rng.integers(0, 2, size=_host_coords(params), dtype=np.uint8)
     h_bits = h.bits
     for j, f in enumerate(subset_table(params.k, params.r)):
         bits[rank_subset(emb.apply(f), params.n)] = h_bits[j]
@@ -141,7 +159,7 @@ def sample_planted(h: Hypergraph, params: ModelParams, rng: np.random.Generator)
 def sample_null(h: Hypergraph, params: ModelParams, rng: np.random.Generator) -> Hypergraph:
     """One null draw: copy the template on leaked-internal subsets, coins elsewhere."""
     _check_shapes(h, params)
-    bits = rng.integers(0, 2, size=binom(params.n, params.r), dtype=np.uint8)
+    bits = rng.integers(0, 2, size=_host_coords(params), dtype=np.uint8)
     for f in itertools.combinations(params.L, params.r):
         bits[rank_subset(f, params.n)] = h.bit(rank_subset(f, params.k))
     return Hypergraph.from_bits(params.n, params.r, bits)
@@ -175,7 +193,7 @@ def sample_planted_bits(h: Hypergraph, params: ModelParams, trials: int,
     """
     _check_shapes(h, params)
     phis = sample_embedding_targets_batch(params, trials, rng)
-    bits = rng.integers(0, 2, size=(trials, binom(params.n, params.r)), dtype=np.uint8)
+    bits = rng.integers(0, 2, size=(trials, _host_coords(params)), dtype=np.uint8)
     kernels.plant_batch(bits, phis, np.asarray(subset_table(params.k, params.r)),
                         h.bits, params.n)
     return bits
@@ -185,23 +203,63 @@ def sample_null_bits(h: Hypergraph, params: ModelParams, trials: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Batch null sampler: (trials, C(n, r)) uint8 bit matrix."""
     _check_shapes(h, params)
-    bits = rng.integers(0, 2, size=(trials, binom(params.n, params.r)), dtype=np.uint8)
+    bits = rng.integers(0, 2, size=(trials, _host_coords(params)), dtype=np.uint8)
     for f in itertools.combinations(params.L, params.r):
         bits[:, rank_subset(f, params.n)] = h.bit(rank_subset(f, params.k))
     return bits
+
+
+class _CountMass(Mapping):
+    """Read-only key -> mass view of an :class:`Ensemble`, built on first lookup.
+
+    Masses are Fractions, or correctly rounded floats when ``rational`` is
+    false; the length is the support size and costs nothing.
+    """
+
+    def __init__(self, ensemble: Ensemble, rational: bool):
+        self.ensemble = ensemble
+        self.rational = rational
+
+    @cached_property
+    def _dict(self) -> dict:
+        d = self.ensemble.denom
+        to_mass = (lambda c: Fraction(c, d)) if self.rational else (lambda c: c / d)
+        return {key: to_mass(c) for key, c in
+                zip(self.ensemble.keys.tolist(), self.ensemble.counts.tolist())}
+
+    def __len__(self) -> int:
+        return self.ensemble.keys.size
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __repr__(self) -> str:
+        return repr(self._dict)
 
 
 @dataclass(frozen=True)
 class Pmf:
     """Exact distribution over full spin vectors, keyed by the packed bit view.
 
-    Key bit i is coordinate i's bit (1 = present).  Masses are Fractions in
-    rational mode, floats otherwise.
+    Key bit i is coordinate i's bit (1 = present).  ``mass`` maps keys to
+    Fractions in rational mode, floats otherwise; :func:`exact_pmf` backs
+    it with the integer counts in ``ensemble`` and builds the mapping only
+    when it is read.
     """
 
     n: int
     r: int
-    mass: dict
+    mass: Mapping
+
+    @property
+    def ensemble(self) -> Ensemble:
+        """The masses as exact integer counts over one denominator."""
+        if isinstance(self.mass, _CountMass):
+            return self.mass.ensemble
+        return Ensemble.from_mass(self.mass)
 
     @property
     def num_coords(self) -> int:
@@ -215,23 +273,13 @@ class Pmf:
 
     @property
     def is_rational(self) -> bool:
+        if isinstance(self.mass, _CountMass):
+            return self.mass.rational
         return not self.mass or isinstance(next(iter(self.mass.values())), Fraction)
 
 
-def _covered_assignment(h_bits, k_subsets, targets, n):
-    """(base_mask, covered_positions) for one embedding's forced coordinates."""
-    base = 0
-    covered = []
-    for j in range(k_subsets.shape[0]):
-        pos = rank_subset(sorted(int(targets[u]) for u in k_subsets[j]), n)
-        covered.append(pos)
-        if h_bits[j]:
-            base |= 1 << pos
-    return base, covered
-
-
 def exact_pmf(h: Hypergraph, params: ModelParams, which: str, rational: bool = True) -> Pmf:
-    """Exhaustively enumerate one ensemble.
+    """Exhaustively enumerate one ensemble as integer state counts.
 
     Null mass is uniform over the spin vectors agreeing with the template
     on leaked-internal subsets; planted mass averages, over every
@@ -244,68 +292,36 @@ def exact_pmf(h: Hypergraph, params: ModelParams, which: str, rational: bool = T
     if which not in ("planted", "null"):
         raise ValidationError(f"which must be 'planted' or 'null', got {which!r}")
 
-    one = Fraction(1) if rational else 1.0
-    mass: dict = {}
-
     if which == "null":
-        base = 0
-        covered = []
-        for f in itertools.combinations(params.L, params.r):
-            pos = rank_subset(f, params.n)
-            covered.append(pos)
-            if h.bit(rank_subset(f, params.k)):
-                base |= 1 << pos
-        free = sorted(set(range(m)) - set(covered))
-        weight = one / (1 << len(free))
-        for pat in range(1 << len(free)):
-            key = base
-            for idx, pos in enumerate(free):
-                if (pat >> idx) & 1:
-                    key |= 1 << pos
-            mass[key] = mass.get(key, 0) + weight
-        return Pmf(params.n, params.r, mass)
+        leaked = np.array([params.L], dtype=np.int64)
+        covered = covered_ranks(leaked, params.ell, params.r, params.n)
+        bits = h.bits[covered_ranks(leaked, params.ell, params.r, params.k)]
+    else:
+        n_emb = injection_count(params.n, params.k, params.ell)
+        if n_emb > EMBEDDING_GUARD:
+            raise GuardExceeded(f"{n_emb} embeddings exceed the guard {EMBEDDING_GUARD}")
+        n_free = m - binom(params.k, params.r)
+        if n_emb << n_free > STATE_GUARD:
+            raise GuardExceeded(
+                "embedding x free-coordinate state space too large to enumerate: "
+                f"{n_emb} embeddings x 2^{n_free} = {n_emb << n_free} states exceed "
+                f"the guard {STATE_GUARD}")
+        targets = injection_table(params.n, params.k, params.L)
+        covered = covered_ranks(targets, params.k, params.r, params.n)
+        bits = h.bits
+    return Pmf(params.n, params.r, _CountMass(count_states(bits, covered, m), rational))
 
-    leaked = set(params.L)
-    avail = [v for v in range(params.n) if v not in leaked]
-    free_src = [u for u in range(params.k) if u not in leaked]
-    n_emb = 1
-    for i in range(len(free_src)):
-        n_emb *= len(avail) - i
-    if n_emb > EMBEDDING_GUARD:
-        raise GuardExceeded(f"{n_emb} embeddings exceed the guard {EMBEDDING_GUARD}")
-    n_free = m - binom(params.k, params.r)
-    if n_emb * (1 << n_free) > STATE_GUARD:
-        raise GuardExceeded("embedding x free-coordinate state space too large to enumerate")
 
-    h_bits = h.bits
-    k_subsets = np.asarray(subset_table(params.k, params.r))
-    weight = one / (n_emb * (1 << n_free))
-    targets = [0] * params.k
-    for u in params.L:
-        targets[u] = u
-    for sel in itertools.permutations(avail, len(free_src)):
-        for u, t in zip(free_src, sel):
-            targets[u] = t
-        base, covered = _covered_assignment(h_bits, k_subsets, targets, params.n)
-        free = sorted(set(range(m)) - set(covered))
-        for pat in range(1 << n_free):
-            key = base
-            for idx, pos in enumerate(free):
-                if (pat >> idx) & 1:
-                    key |= 1 << pos
-            mass[key] = mass.get(key, 0) + weight
-    return Pmf(params.n, params.r, mass)
+def _same_shape(p: Pmf, q: Pmf) -> None:
+    if (p.n, p.r) != (q.n, q.r):
+        raise ValidationError("pmf shapes differ")
 
 
 def tv_distance(p: Pmf, q: Pmf):
-    """(1/2) sum |p - q|; exact when both pmfs are rational."""
-    if (p.n, p.r) != (q.n, q.r):
-        raise ValidationError("pmf shapes differ")
-    zero = Fraction(0) if p.is_rational and q.is_rational else 0.0
-    acc = zero
-    for key in p.mass.keys() | q.mass.keys():
-        acc += abs(p.mass.get(key, zero) - q.mass.get(key, zero))
-    return acc / 2
+    """(1/2) sum |p - q| on the integer counts; a float unless both pmfs are rational."""
+    _same_shape(p, q)
+    value = p.ensemble.tv(q.ensemble)
+    return value if p.is_rational and q.is_rational else float(value)
 
 
 def tv_dict(p: dict, q: dict) -> Fraction:
@@ -317,16 +333,11 @@ def tv_dict(p: dict, q: dict) -> Fraction:
 
 
 def chi_square(p: Pmf, q: Pmf):
-    """chi^2(p || q) = sum p(x)^2 / q(x) - 1 over q's support.
+    """chi^2(p || q) = sum p(x)^2 / q(x) - 1 over q's support, on the
+    integer counts; a float unless both pmfs are rational.
 
     Requires p's support to lie inside q's.
     """
-    if (p.n, p.r) != (q.n, q.r):
-        raise ValidationError("pmf shapes differ")
-    acc = Fraction(0) if p.is_rational and q.is_rational else 0.0
-    for key, pk in p.mass.items():
-        qk = q.mass.get(key)
-        if qk is None or qk == 0:
-            raise ValidationError("p has mass outside q's support; chi-square diverges")
-        acc += pk * pk / qk
-    return acc - 1
+    _same_shape(p, q)
+    value = p.ensemble.chi_square(q.ensemble)
+    return value if p.is_rational and q.is_rational else float(value)

@@ -28,13 +28,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from .ensemble import (check_key_width, count_states, covered_ranks, injection_count,
+                       injection_table, pack, unpack)
 from .errors import GuardExceeded, ValidationError
 from .hypercore import (Hypergraph, binom, encode_label, label_bit_width,
                         rank_subset, subset_table)
 from .models import ModelParams, sample_H, sample_embedding
 
 CSIRMAZ_GROUND_GUARD = 12
-SECRECY_KEY_BITS_GUARD = 62
 SECRECY_STATE_GUARD = 40_000_000
 
 
@@ -258,28 +259,13 @@ def secrecy_reduction_map(h_prime: Hypergraph, g: Hypergraph, leaked, s: int,
     return mask_template(h_prime, s, access), g, group
 
 
-def _iter_injections(n: int, k: int, fixed):
-    """Target tuples of all injections [0, k) -> [0, n) fixing `fixed` pointwise."""
-    fixed = set(fixed)
-    avail = [v for v in range(n) if v not in fixed]
-    free_src = [u for u in range(k) if u not in fixed]
-    targets = [0] * k
-    for u in fixed:
-        targets[u] = u
-    for sel in itertools.permutations(avail, len(free_src)):
-        for u, t in zip(free_src, sel):
-            targets[u] = t
-        yield tuple(targets)
-
-
 def _planted_states(access: AccessStructure, n: int, fixed):
     """Yield (h_mask, g_mask, targets) uniformly over template x embedding x coins."""
     k, r = access.k, access.r
     m_n, m_k = binom(n, r), binom(k, r)
-    k_subsets = subset_table(k, r)
-    for targets in _iter_injections(n, k, fixed):
-        covered = [rank_subset(sorted(targets[int(v)] for v in k_subsets[j]), n)
-                   for j in range(m_k)]
+    targets_table = injection_table(n, k, fixed)
+    covered_table = covered_ranks(targets_table, k, r, n).tolist()
+    for targets, covered in zip(map(tuple, targets_table.tolist()), covered_table):
         free = sorted(set(range(m_n)) - set(covered))
         for h_mask in range(1 << m_k):
             base = 0
@@ -416,8 +402,8 @@ def secrecy_tv(access: AccessStructure, leaked, n: int) -> Fraction:
     The view is (published template, host, shares of the coalition).
     Published bits outside the qualifying sets are fresh coins shared by
     both ensembles, so they are marginalized out; the distance is
-    unchanged.  State enumeration is vectorized over the host's free
-    coordinates.
+    unchanged.  Each secret's views are counted as one integer-count
+    ensemble, and the distance is exact on those counts.
     """
     if not access.uniform:
         raise ValidationError("qualifying sets must all have size r; lift the structure first")
@@ -428,47 +414,27 @@ def secrecy_tv(access: AccessStructure, leaked, n: int) -> Fraction:
     m_n, m_k = binom(n, r), binom(k, r)
     r_ranks = _r_ranks(access)
     share_bits = max(1, (n - 1).bit_length()) * len(group)
-    key_bits = len(r_ranks) + m_n + share_bits
-    if key_bits > SECRECY_KEY_BITS_GUARD:
-        raise GuardExceeded(f"state key needs {key_bits} bits; instance too large")
+    check_key_width(len(r_ranks) + m_n + share_bits)
 
-    k_subsets = subset_table(k, r)
-    n_free = m_n - m_k
-    emb_targets = list(_iter_injections(n, k, ()))
-    total = (1 << m_k) * len(emb_targets) * (1 << n_free)
+    total = (1 << m_k) * injection_count(n, k, 0) * (1 << (m_n - m_k))
     if total > SECRECY_STATE_GUARD:
         raise GuardExceeded(f"{total} dealer states exceed the enumeration guard")
 
-    pattern = np.arange(1 << n_free, dtype=np.uint64)
-    counts = []
+    # one row per (embedding, template) pair, templates varying fastest
+    targets = injection_table(n, k, ())
+    templates = unpack(np.arange(1 << m_k, dtype=np.uint64), m_k)
+    covered = np.repeat(covered_ranks(targets, k, r, n), templates.shape[0], axis=0)
+    bits = np.tile(templates, (targets.shape[0], 1))
+    share_code = np.zeros(targets.shape[0], dtype=np.uint64)
+    for i in group:
+        share_code = share_code * np.uint64(n) + targets[:, i].astype(np.uint64)
+    ensembles = []
     for s in (0, 1):
-        chunks = []
-        for targets in emb_targets:
-            covered = [rank_subset(sorted(targets[int(v)] for v in k_subsets[j]), n)
-                       for j in range(m_k)]
-            free = sorted(set(range(m_n)) - set(covered))
-            scatter = np.zeros(1 << n_free, dtype=np.uint64)
-            for idx, pos in enumerate(free):
-                scatter |= ((pattern >> np.uint64(idx)) & np.uint64(1)) << np.uint64(pos)
-            share_code = 0
-            for i in group:
-                share_code = share_code * n + targets[i]
-            for h_mask in range(1 << m_k):
-                base = 0
-                for j, pos in enumerate(covered):
-                    if (h_mask >> j) & 1:
-                        base |= 1 << pos
-                pub = 0
-                for idx, j in enumerate(r_ranks):
-                    pub |= (((h_mask >> j) & 1) ^ s) << idx
-                head = (share_code << (len(r_ranks) + m_n)) | (pub << m_n) | base
-                chunks.append(np.uint64(head) | scatter)
-        keys = np.concatenate(chunks)
-        counts.append(dict(zip(*np.unique(keys, return_counts=True))))
-    diff = 0
-    for key in counts[0].keys() | counts[1].keys():
-        diff += abs(int(counts[0].get(key, 0)) - int(counts[1].get(key, 0)))
-    return Fraction(diff, 2 * total)
+        pub = pack(templates[:, r_ranks] ^ s, np.arange(len(r_ranks)))
+        high = (share_code[:, None] << np.uint64(len(r_ranks) + m_n)
+                | pub[None, :] << np.uint64(m_n)).ravel()
+        ensembles.append(count_states(bits, covered, m_n, high))
+    return ensembles[0].tv(ensembles[1])
 
 
 def csirmaz_f(a_size: int, l: int) -> int:

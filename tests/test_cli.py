@@ -248,3 +248,12 @@ def test_config_hash_stable_under_reordering():
     a = {"name": "x", "operation": "op", "grid": {"n": [1]}, "seed": 3, "output": "a"}
     b = {"output": "b", "seed": 3, "grid": {"n": [1]}, "operation": "op", "name": "x"}
     assert cli.config_hash(a) == cli.config_hash(b)
+
+
+def test_sample_oversized_host_fails_with_json(capsys, tmp_path):
+    params = write(tmp_path, "p.json", {"n": 100, "k": 30, "r": 30, "L": [], "seed": 1})
+    for model in ("null", "planted"):
+        code, out = run_cli(capsys, "sample", "--model", model, "--params", params)
+        error = json.loads(out)["error"]
+        assert code == 3 and error["type"] == "GuardExceeded"
+        assert "C(100, 30)" in error["message"]

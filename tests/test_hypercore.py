@@ -185,3 +185,12 @@ def test_embedding_apply_sorted():
     assert emb.apply((0, 2)) == (4, 5)
     assert emb(1) == 1
     assert emb.image() == frozenset({1, 4, 5})
+
+
+def test_rank_prefix_tables_refuse_int64_overflow():
+    from plantedsub.errors import GuardExceeded
+    from plantedsub.hypercore import _rank_prefix_tables
+
+    with pytest.raises(GuardExceeded, match=r"n=100 vertices with r=30"):
+        _rank_prefix_tables(100, 30)
+    assert _rank_prefix_tables(66, 33)[32][66] == binom(66, 33)
