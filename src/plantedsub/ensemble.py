@@ -10,19 +10,26 @@ multiplicities, and the number of equally likely states enumerated, so
 the mass of ``keys[i]`` is exactly ``counts[i] / denom``.  Distances
 and moments are integer sums over ``counts``; a Fraction is made once
 per result, never per state.
+
+Side information (labels, shares, a published template, a function
+table) rides in key bits above the host coordinates, as a
+:class:`KeyLayout` places it; a :class:`CountMass` shows an ensemble as
+the key -> mass mapping that layout reads back.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import GuardExceeded, ValidationError
-from .hypercore import rank_rows, subset_table
+from .hypercore import rank_rows
 
 KEY_BITS = 64
 _INT64_LIMIT = 1 << 63
@@ -118,12 +125,12 @@ def injection_table(n: int, k: int, fixed) -> np.ndarray:
     return table
 
 
-def covered_ranks(targets: np.ndarray, k: int, r: int, n: int) -> np.ndarray:
-    """(E, C(k, r)) host ranks of each template r-subset's image under each
-    row of ``targets``, an (E, k) table of maps [0, k) -> [0, n)."""
-    sub = subset_table(k, r)
-    images = np.sort(targets[:, sub], axis=2).reshape(-1, r)
-    return rank_rows(images, n).reshape(targets.shape[0], sub.shape[0])
+def covered_ranks(targets: np.ndarray, subsets: np.ndarray, n: int) -> np.ndarray:
+    """(E, S) host ranks of the image of each row of ``subsets``, an (S, r)
+    table of r-subsets of [0, k), under each row of ``targets``, an (E, k)
+    table of maps [0, k) -> [0, n)."""
+    images = np.sort(targets[:, subsets], axis=2).reshape(-1, subsets.shape[1])
+    return rank_rows(images, n).reshape(targets.shape[0], subsets.shape[0])
 
 
 def pack(bits, positions: np.ndarray) -> np.ndarray:
@@ -144,6 +151,12 @@ def scatter_table(free) -> np.ndarray:
     for idx, pos in enumerate(free):
         out |= (pattern >> np.uint64(idx) & np.uint64(1)) << np.uint64(pos)
     return out
+
+
+def patterns(m: int) -> np.ndarray:
+    """(2^m, m) uint8 table of every bit pattern over m coordinates; row t
+    holds the bits of t."""
+    return unpack(scatter_table(range(m)), m)
 
 
 def count_states(bits, covered: np.ndarray, m: int, high=None) -> Ensemble:
@@ -168,3 +181,88 @@ def count_states(bits, covered: np.ndarray, m: int, high=None) -> Ensemble:
     states = np.concatenate(chunks)
     keys, counts = np.unique(states, return_counts=True)
     return Ensemble(keys, counts.astype(np.int64), states.size)
+
+
+@dataclass(frozen=True)
+class KeyLayout:
+    """Where a state key keeps each part of the tuple a view shows.
+
+    Bits [0, m) are the host coordinates, shown as an int mask.  The next
+    ``side`` bits carry side information (a published template or a
+    function table), shown as an int mask, or as a tuple of bits when
+    ``side_as_bits``.  The bits above carry ``digits`` base-``base``
+    digits (labels or shares), shown as a tuple, first digit most
+    significant.  ``order`` lists the parts shown, from "side", "host"
+    and "digits".
+    """
+
+    m: int
+    side: int = 0
+    digits: int = 0
+    base: int = 2
+    side_as_bits: bool = False
+    order: tuple[str, ...] = ("side", "host", "digits")
+
+    @property
+    def width(self) -> int:
+        return self.m + self.side + (self.base ** self.digits - 1).bit_length()
+
+    def high(self, digits, side=None) -> np.ndarray:
+        """Key bits above the host coordinates for each row of ``digits``
+        (and of ``side``, the side-information bits)."""
+        check_key_width(self.width)
+        digits = np.asarray(digits, dtype=np.uint64)
+        code = np.zeros(digits.shape[0], dtype=np.uint64)
+        for column in digits.T:
+            code = code * np.uint64(self.base) + column
+        out = code << np.uint64(self.m + self.side)
+        if side is not None:
+            out |= pack(side, np.arange(self.m, self.m + self.side))
+        return out
+
+    def __call__(self, key: int) -> tuple:
+        code, digits = key >> (self.m + self.side), []
+        for _ in range(self.digits):
+            code, digit = divmod(code, self.base)
+            digits.append(digit)
+        side = key >> self.m & ((1 << self.side) - 1)
+        parts = {"host": key & ((1 << self.m) - 1), "digits": tuple(reversed(digits)),
+                 "side": tuple(side >> i & 1 for i in range(self.side))
+                 if self.side_as_bits else side}
+        return tuple(parts[name] for name in self.order)
+
+
+class CountMass(Mapping):
+    """Read-only key -> mass view of an :class:`Ensemble`, built on first lookup.
+
+    ``layout`` reads each packed key back as the key shown (the packed
+    int itself when None).  Masses are Fractions, or correctly rounded
+    floats when ``rational`` is false; the length is the support size
+    and costs nothing.
+    """
+
+    def __init__(self, ensemble: Ensemble, rational: bool = True, layout=None):
+        self.ensemble = ensemble
+        self.rational = rational
+        self.layout = layout
+
+    @cached_property
+    def _dict(self) -> dict:
+        d = self.ensemble.denom
+        to_mass = (lambda c: Fraction(c, d)) if self.rational else (lambda c: c / d)
+        keys = self.ensemble.keys.tolist()
+        if self.layout is not None:
+            keys = map(self.layout, keys)
+        return {key: to_mass(c) for key, c in zip(keys, self.ensemble.counts.tolist())}
+
+    def __len__(self) -> int:
+        return self.ensemble.keys.size
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __repr__(self) -> str:
+        return repr(self._dict)

@@ -1,93 +1,15 @@
-"""Hot numeric kernels: numba fast path with a pure-numpy fallback.
+"""Hot numeric kernels of the Monte Carlo harness, vectorized in numpy.
 
-The Monte Carlo harness spends nearly all of its time planting template
-bits into batches of sampled adjacency maps and scanning candidate
-match patterns.  Both loops ship in two implementations selected once
-at import time by the PLANTEDSUB_BACKEND environment variable:
-
-    PLANTEDSUB_BACKEND=numba   require the JIT path (error if unavailable)
-    PLANTEDSUB_BACKEND=numpy   force the vectorized fallback
-
-Unset, numba is used when importable.  Both paths compute identical
-results; ``benchmarks/bench_kernels.py`` compares their throughput.
+The harness spends nearly all of its time planting template bits into
+batches of sampled adjacency maps and scanning candidate match
+patterns; both loops live here.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .errors import ValidationError
 from .hypercore import rank_rows
-
-_ENV_VAR = "PLANTEDSUB_BACKEND"
-_requested = os.environ.get(_ENV_VAR, "").strip().lower()
-
-if _requested not in ("", "numba", "numpy"):
-    raise ValidationError(f"{_ENV_VAR} must be 'numba' or 'numpy', got {_requested!r}")
-
-_numba_ok = False
-if _requested != "numpy":
-    try:
-        from numba import njit
-
-        _numba_ok = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-        _numba_ok = False
-
-BACKEND = "numba" if _numba_ok else "numpy"
-
-
-def backend_name() -> str:
-    """The kernel backend selected at import time."""
-    return BACKEND
-
-
-if _numba_ok:
-
-    @njit(cache=True)
-    def _plant_batch_nb(bits, phis, h_subsets, h_bits, prefix, n):  # pragma: no cover
-        trials = bits.shape[0]
-        m_k, r = h_subsets.shape
-        tmp = np.empty(r, np.int64)
-        for t in range(trials):
-            for j in range(m_k):
-                for i in range(r):
-                    tmp[i] = phis[t, h_subsets[j, i]]
-                for i in range(1, r):
-                    key = tmp[i]
-                    pos = i - 1
-                    while pos >= 0 and tmp[pos] > key:
-                        tmp[pos + 1] = tmp[pos]
-                        pos -= 1
-                    tmp[pos + 1] = key
-                rank = np.int64(0)
-                prev = np.int64(-1)
-                for i in range(r):
-                    level = r - 1 - i
-                    rank += prefix[level, tmp[i]] - prefix[level, prev + 1]
-                    prev = tmp[i]
-                bits[t, rank] = h_bits[j]
-
-    @njit(cache=True)
-    def _match_any_nb(bits, cand_ranks, patterns):  # pragma: no cover
-        trials = bits.shape[0]
-        n_cand, width = cand_ranks.shape
-        out = np.zeros(trials, np.uint8)
-        for t in range(trials):
-            for v in range(n_cand):
-                ok = True
-                for p in range(width):
-                    if bits[t, cand_ranks[v, p]] != patterns[p]:
-                        ok = False
-                        break
-                if ok:
-                    out[t] = 1
-                    break
-        return out
 
 
 def _plant_batch_np(bits, phis, h_subsets, h_bits, n):
@@ -111,13 +33,7 @@ def plant_batch(bits: np.ndarray, phis: np.ndarray, h_subsets: np.ndarray,
     """
     if h_subsets.shape[0] == 0:
         return
-    if BACKEND == "numba":
-        from .hypercore import _rank_prefix_tables
-
-        prefix = np.ascontiguousarray(_rank_prefix_tables(n, int(h_subsets.shape[1])))
-        _plant_batch_nb(bits, phis, h_subsets, h_bits, prefix, n)
-    else:
-        _plant_batch_np(bits, phis, h_subsets, h_bits, n)
+    _plant_batch_np(bits, phis, h_subsets, h_bits, n)
 
 
 def match_any_batch(bits: np.ndarray, cand_ranks: np.ndarray,
@@ -131,6 +47,4 @@ def match_any_batch(bits: np.ndarray, cand_ranks: np.ndarray,
         return np.zeros(bits.shape[0], dtype=np.uint8)
     if cand_ranks.shape[1] == 0:
         return np.ones(bits.shape[0], dtype=np.uint8)
-    if BACKEND == "numba":
-        return _match_any_nb(bits, cand_ranks, patterns)
     return _match_any_np(bits, cand_ranks, patterns)

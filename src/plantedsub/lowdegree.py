@@ -158,7 +158,7 @@ def lr_squared_exact(h: Hypergraph, params: ModelParams, degree: int | None = No
         raise GuardExceeded(f"{work} character terms exceed the guard {LR_WORK_GUARD}")
 
     targets = injection_table(params.n, params.k, params.L)
-    ranks = covered_ranks(targets, params.k, params.r, params.n)[:, keep].tolist()
+    ranks = covered_ranks(targets, subset_table(params.k, params.r), params.n)[:, keep].tolist()
     spins = [h_spins[j] for j in keep]
     acc: dict[frozenset[int], int] = {}
     for row in ranks:

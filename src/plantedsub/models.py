@@ -24,13 +24,12 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from . import kernels
-from .ensemble import (Ensemble, count_states, covered_ranks, injection_count,
-                       injection_table)
+from .ensemble import (CountMass, Ensemble, count_states, covered_ranks,
+                       injection_count, injection_table)
 from .errors import GuardExceeded, ValidationError
 from .hypercore import Embedding, Hypergraph, binom, rank_subset, subset_table
 
@@ -209,37 +208,6 @@ def sample_null_bits(h: Hypergraph, params: ModelParams, trials: int,
     return bits
 
 
-class _CountMass(Mapping):
-    """Read-only key -> mass view of an :class:`Ensemble`, built on first lookup.
-
-    Masses are Fractions, or correctly rounded floats when ``rational`` is
-    false; the length is the support size and costs nothing.
-    """
-
-    def __init__(self, ensemble: Ensemble, rational: bool):
-        self.ensemble = ensemble
-        self.rational = rational
-
-    @cached_property
-    def _dict(self) -> dict:
-        d = self.ensemble.denom
-        to_mass = (lambda c: Fraction(c, d)) if self.rational else (lambda c: c / d)
-        return {key: to_mass(c) for key, c in
-                zip(self.ensemble.keys.tolist(), self.ensemble.counts.tolist())}
-
-    def __len__(self) -> int:
-        return self.ensemble.keys.size
-
-    def __iter__(self):
-        return iter(self._dict)
-
-    def __getitem__(self, key):
-        return self._dict[key]
-
-    def __repr__(self) -> str:
-        return repr(self._dict)
-
-
 @dataclass(frozen=True)
 class Pmf:
     """Exact distribution over full spin vectors, keyed by the packed bit view.
@@ -257,7 +225,7 @@ class Pmf:
     @property
     def ensemble(self) -> Ensemble:
         """The masses as exact integer counts over one denominator."""
-        if isinstance(self.mass, _CountMass):
+        if isinstance(self.mass, CountMass):
             return self.mass.ensemble
         return Ensemble.from_mass(self.mass)
 
@@ -273,7 +241,7 @@ class Pmf:
 
     @property
     def is_rational(self) -> bool:
-        if isinstance(self.mass, _CountMass):
+        if isinstance(self.mass, CountMass):
             return self.mass.rational
         return not self.mass or isinstance(next(iter(self.mass.values())), Fraction)
 
@@ -294,8 +262,9 @@ def exact_pmf(h: Hypergraph, params: ModelParams, which: str, rational: bool = T
 
     if which == "null":
         leaked = np.array([params.L], dtype=np.int64)
-        covered = covered_ranks(leaked, params.ell, params.r, params.n)
-        bits = h.bits[covered_ranks(leaked, params.ell, params.r, params.k)]
+        internal = subset_table(params.ell, params.r)
+        covered = covered_ranks(leaked, internal, params.n)
+        bits = h.bits[covered_ranks(leaked, internal, params.k)]
     else:
         n_emb = injection_count(params.n, params.k, params.ell)
         if n_emb > EMBEDDING_GUARD:
@@ -307,9 +276,9 @@ def exact_pmf(h: Hypergraph, params: ModelParams, which: str, rational: bool = T
                 f"{n_emb} embeddings x 2^{n_free} = {n_emb << n_free} states exceed "
                 f"the guard {STATE_GUARD}")
         targets = injection_table(params.n, params.k, params.L)
-        covered = covered_ranks(targets, params.k, params.r, params.n)
+        covered = covered_ranks(targets, subset_table(params.k, params.r), params.n)
         bits = h.bits
-    return Pmf(params.n, params.r, _CountMass(count_states(bits, covered, m), rational))
+    return Pmf(params.n, params.r, CountMass(count_states(bits, covered, m), rational))
 
 
 def _same_shape(p: Pmf, q: Pmf) -> None:
@@ -324,8 +293,11 @@ def tv_distance(p: Pmf, q: Pmf):
     return value if p.is_rational and q.is_rational else float(value)
 
 
-def tv_dict(p: dict, q: dict) -> Fraction:
-    """Total variation between two Fraction-valued pmf dictionaries."""
+def tv_dict(p: Mapping, q: Mapping) -> Fraction:
+    """Total variation between two Fraction-valued pmf mappings; exact on
+    the integer counts when both are count views over one key layout."""
+    if isinstance(p, CountMass) and isinstance(q, CountMass) and p.layout == q.layout:
+        return p.ensemble.tv(q.ensemble)
     acc = Fraction(0)
     for key in p.keys() | q.keys():
         acc += abs(p.get(key, Fraction(0)) - q.get(key, Fraction(0)))

@@ -27,8 +27,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .ensemble import (CountMass, KeyLayout, count_states, covered_ranks, injection_count,
+                       injection_table, patterns)
 from .errors import GuardExceeded, ValidationError
-from .hypercore import (Embedding, Hypergraph, binom, bit_to_spin, rank_subset,
+from .hypercore import (Embedding, Hypergraph, binom, bit_to_spin, rank_rows, rank_subset,
                         relabel, spin_to_bit, subset_table)
 from .models import ModelParams, sample_embedding
 
@@ -167,8 +169,7 @@ class PsmInstance:
 def psm_setup(f: FunctionTable, n: int, rng) -> PsmInstance:
     """Setup phase: embed the (randomized) template into a host of size n."""
     n_v = f.r * f.k
-    if n < n_v:
-        raise ValidationError(f"host size n={n} must be at least r*k={n_v}")
+    _check_host(n, n_v)
     fbar = embed_function(f, rng)
     params = ModelParams(n=n, k=n_v, r=f.r)
     emb = sample_embedding(params, rng)
@@ -315,75 +316,85 @@ class TableSelector:
         return self.distribution(f)[0][0]
 
 
-def _accumulate(states: dict, key, weight: Fraction) -> None:
-    states[key] = states.get(key, Fraction(0)) + weight
-
-
 def _guard_states(count: int) -> None:
     if count > PSM_STATE_GUARD:
         raise GuardExceeded(f"{count} enumeration states exceed the guard {PSM_STATE_GUARD}")
 
 
-def enumerate_real_ensemble(f: FunctionTable, selector, n: int) -> dict:
-    """Exact law of (messages, host) for a fixed public table.
+def _check_host(n: int, n_v: int) -> None:
+    if n < n_v:
+        raise ValidationError(f"host size n={n} must be at least r*k={n_v}")
 
-    Enumerates template coins x private injections x host coins, mixing
-    inputs by the selector's distribution.
+
+def _atoms(tables, selector) -> list:
+    """Each table's selector atoms as (inputs, multiplicity), the weights
+    scaled to integers over one common denominator."""
+    dists = [selector.distribution(f) for f in tables]
+    denom = math.lcm(*(Fraction(w).denominator for dist in dists for _, w in dist))
+    return [[(xs, int(w * denom)) for xs, w in dist] for dist in dists]
+
+
+def _all_tables(k: int, r: int) -> list:
+    return [FunctionTable.from_bits(k, r, bits) for bits in patterns(k ** r)]
+
+
+def _layout(k: int, r: int, n: int, with_table: bool) -> KeyLayout:
+    """Host mask, then the table bits when shown, then the r labels as base-n digits."""
+    if with_table:
+        return KeyLayout(binom(n, r), k ** r, r, n, side_as_bits=True,
+                         order=("side", "digits", "host"))
+    return KeyLayout(binom(n, r), digits=r, base=n, order=("digits", "host"))
+
+
+def _transcripts(tables, selector, n: int, simulated: bool, with_table: bool) -> CountMass:
+    """Exact law of ([table,] messages, host) over ``tables``, equally likely.
+
+    Real runs force the cross coordinates' images under every private
+    injection of the r*k template vertices to the table; the template's
+    other coins land on host coordinates and join the host's coins.  The
+    simulator forces the output coordinate at every r distinct labels.
+    Every row is repeated by its selector atom's multiplicity.
     """
-    n_v = f.r * f.k
-    m_t, m_n = binom(n_v, f.r), binom(n, f.r)
-    cross = {rank_subset(cross_set(xs, f.k), n_v): f.bit(xs)
-             for xs in itertools.product(range(f.k), repeat=f.r)}
-    coin_pos = [j for j in range(m_t) if j not in cross]
-    n_inj = math.perm(n, n_v)
-    _guard_states((1 << len(coin_pos)) * n_inj * (1 << (m_n - m_t)))
-    states: dict = {}
-    tmpl_subsets = subset_table(n_v, f.r)
-    atoms = selector.distribution(f)
-    for pat in range(1 << len(coin_pos)):
-        t_bits = {j: b for j, b in cross.items()}
-        for idx, j in enumerate(coin_pos):
-            t_bits[j] = (pat >> idx) & 1
-        for targets in itertools.permutations(range(n), n_v):
-            covered = {}
-            for j in range(m_t):
-                pos = rank_subset(sorted(targets[int(v)] for v in tmpl_subsets[j]), n)
-                covered[pos] = t_bits[j]
-            base = sum(b << pos for pos, b in covered.items())
-            free = [pos for pos in range(m_n) if pos not in covered]
-            for gpat in range(1 << len(free)):
-                g_mask = base
-                for idx, pos in enumerate(free):
-                    if (gpat >> idx) & 1:
-                        g_mask |= 1 << pos
-                w = Fraction(1, (1 << len(coin_pos)) * n_inj * (1 << len(free)))
-                for xs, sel_w in atoms:
-                    u = tuple(targets[part_vertex(x, i, f.k)] for i, x in enumerate(xs))
-                    _accumulate(states, (u, g_mask), w * sel_w)
-    return states
+    k, r = tables[0].k, tables[0].r
+    layout = _layout(k, r, n, with_table)
+    if simulated:
+        if n < r:
+            raise ValidationError(f"need n >= r = {r}")
+        maps = injection_table(n, r, ())
+        forced = rank_rows(np.sort(maps, axis=1), n)[:, None]
+    else:
+        _check_host(n, r * k)
+        maps = injection_table(n, r * k, ())
+        cross = [cross_set(xs, k) for xs in itertools.product(range(k), repeat=r)]
+        forced = covered_ranks(maps, np.array(cross), n)
+    atoms = _atoms(tables, selector)
+    rows = maps.shape[0] * sum(w for dist in atoms for _, w in dist)
+    _guard_states(rows << (layout.m - forced.shape[1]))
+    bits, high = [], []
+    for f, dist in zip(tables, atoms):
+        table = np.broadcast_to(np.array(f.bits, dtype=np.uint8), (maps.shape[0], k ** r))
+        for xs, w in dist:
+            if simulated:
+                block = np.full((maps.shape[0], 1), f.bit(xs), dtype=np.uint8)
+                labels = maps
+            else:
+                block, labels = table, maps[:, cross_set(xs, k)]
+            bits += [block] * w
+            high += [layout.high(labels, table if with_table else None)] * w
+    covered = np.tile(forced, (len(bits), 1))
+    ensemble = count_states(np.concatenate(bits), covered, layout.m, np.concatenate(high))
+    return CountMass(ensemble, layout=layout)
 
 
-def enumerate_simulated_ensemble(f: FunctionTable, selector, n: int) -> dict:
+def enumerate_real_ensemble(f: FunctionTable, selector, n: int) -> CountMass:
+    """Exact law of (messages, host) for a fixed public table, mixing
+    inputs by the selector's distribution."""
+    return _transcripts([f], selector, n, False, False)
+
+
+def enumerate_simulated_ensemble(f: FunctionTable, selector, n: int) -> CountMass:
     """Exact law of the simulator's (labels, host) for a fixed public table."""
-    m_n = binom(n, f.r)
-    n_lab = math.perm(n, f.r)
-    _guard_states(n_lab * (1 << (m_n - 1)))
-    states: dict = {}
-    atoms = selector.distribution(f)
-    for xs, sel_w in atoms:
-        y = f.bit(xs)
-        for labels in itertools.permutations(range(n), f.r):
-            forced = rank_subset(sorted(labels), n)
-            free = [pos for pos in range(m_n) if pos != forced]
-            base = y << forced
-            for gpat in range(1 << len(free)):
-                g_mask = base
-                for idx, pos in enumerate(free):
-                    if (gpat >> idx) & 1:
-                        g_mask |= 1 << pos
-                w = sel_w * Fraction(1, n_lab * (1 << len(free)))
-                _accumulate(states, (labels, g_mask), w)
-    return states
+    return _transcripts([f], selector, n, True, False)
 
 
 def real_vs_sim_tv(f: FunctionTable, selector, n: int) -> Fraction:
@@ -394,96 +405,57 @@ def real_vs_sim_tv(f: FunctionTable, selector, n: int) -> Fraction:
                    enumerate_simulated_ensemble(f, selector, n))
 
 
-def _leak_vertices(xs, k: int) -> tuple[int, ...]:
-    return tuple(sorted(part_vertex(x, i, k) for i, x in enumerate(xs)))
-
-
-def enumerate_reduction_pushforward(which: str, k: int, r: int, n: int, selector) -> dict:
+def enumerate_reduction_pushforward(which: str, k: int, r: int, n: int,
+                                    selector) -> CountMass:
     """Exact law of the reduction's output on one model ensemble.
 
     The input ensemble draws a uniform template on r*k vertices, fixes
     the leaked vertices chosen by the selector from the template's own
     table, then samples the host from the planted or the null model with
-    that leaked set.  Keys are (table bits, labels, host mask).
+    that leaked set.  Every vertex relabelling is then applied to every
+    enumerated state, as a permutation of its forced coordinates (the
+    coins on the rest stay uniform).  Keys are (table bits, labels, host
+    mask).
     """
     if which not in ("planted", "null"):
         raise ValidationError("which must be 'planted' or 'null'")
-    n_v = r * k
-    m_t, m_n = binom(n_v, r), binom(n, r)
-    n_perm = math.factorial(n)
-    _guard_states((1 << m_t) * n_perm * (1 << (m_n - 1)))
-    tmpl_subsets = subset_table(n_v, r)
-    states: dict = {}
-    for h_mask in range(1 << m_t):
-        h = Hypergraph.from_mask(n_v, r, h_mask)
-        f = template_to_table(h, k)
-        for xs, sel_w in selector.distribution(f):
-            leak = _leak_vertices(xs, k)
+    n_v, m_t = r * k, binom(r * k, r)
+    _check_host(n, n_v)
+    layout = _layout(k, r, n, True)
+    templates = patterns(m_t)
+    tables = [template_to_table(Hypergraph.from_bits(n_v, r, t), k) for t in templates]
+    atoms = _atoms(tables, selector)
+    n_emb, width = (injection_count(n, n_v, r), m_t) if which == "planted" else (1, 1)
+    weight = sum(w for dist in atoms for _, w in dist)
+    _guard_states(math.factorial(n) * n_emb * weight << (layout.m - width))
+    perms = injection_table(n, n, ())
+    moved = covered_ranks(perms, subset_table(n, r), n)  # coordinate j -> its image
+    bits, covered, high = [], [], []
+    for h_bits, f, dist in zip(templates, tables, atoms):
+        side = np.broadcast_to(np.array(f.bits, dtype=np.uint8),
+                               (perms.shape[0] * n_emb, k ** r))
+        for xs, w in dist:
+            leak = cross_set(xs, k)
             if which == "planted":
-                draws = []
-                fixed = set(leak)
-                avail = [v for v in range(n) if v not in fixed]
-                free_src = [u for u in range(n_v) if u not in fixed]
-                for sel in itertools.permutations(avail, len(free_src)):
-                    targets = [0] * n_v
-                    for u in leak:
-                        targets[u] = u
-                    for u, t in zip(free_src, sel):
-                        targets[u] = t
-                    covered = {}
-                    for j in range(m_t):
-                        pos = rank_subset(sorted(targets[int(v)] for v in tmpl_subsets[j]), n)
-                        covered[pos] = h.bit(j)
-                    draws.append(covered)
+                forced = covered_ranks(injection_table(n, n_v, leak), subset_table(n_v, r), n)
+                block = h_bits
             else:
-                covered = {rank_subset(leak, n): h.bit(rank_subset(leak, n_v))}
-                draws = [covered]
-            for covered in draws:
-                base = sum(b << pos for pos, b in covered.items())
-                free = [pos for pos in range(m_n) if pos not in covered]
-                for gpat in range(1 << len(free)):
-                    g_mask = base
-                    for idx, pos in enumerate(free):
-                        if (gpat >> idx) & 1:
-                            g_mask |= 1 << pos
-                    for pi in itertools.permutations(range(n)):
-                        out_mask = _relabel_mask(g_mask, pi, n, r)
-                        key = (f.bits, tuple(pi[u] for u in leak), out_mask)
-                        w = sel_w * Fraction(
-                            1, (1 << m_t) * len(draws) * (1 << len(free)) * n_perm)
-                        _accumulate(states, key, w)
-    return states
+                forced = np.array([[rank_subset(leak, n)]])
+                block = h_bits[[rank_subset(leak, n_v)]]
+            bits += [np.broadcast_to(block, (side.shape[0], width))] * w
+            covered += [moved[:, forced].reshape(-1, width)] * w
+            labels = np.repeat(perms[:, leak], n_emb, axis=0)
+            high += [layout.high(labels, side)] * w
+    ensemble = count_states(np.concatenate(bits), np.concatenate(covered), layout.m,
+                            np.concatenate(high))
+    return CountMass(ensemble, layout=layout)
 
 
-def enumerate_protocol_ensemble(k: int, r: int, n: int, selector) -> dict:
+def enumerate_protocol_ensemble(k: int, r: int, n: int, selector) -> CountMass:
     """Exact law of (table bits, messages, host) over a uniform table."""
-    states: dict = {}
-    n_tables = 1 << (k ** r)
-    for t_mask in range(n_tables):
-        f = FunctionTable.from_bits(k, r, [(t_mask >> i) & 1 for i in range(k ** r)])
-        inner = enumerate_real_ensemble(f, selector, n)
-        for (u, g_mask), w in inner.items():
-            _accumulate(states, (f.bits, u, g_mask), w / n_tables)
-    return states
+    return _transcripts(_all_tables(k, r), selector, n, False, True)
 
 
-def enumerate_simulated_protocol_ensemble(k: int, r: int, n: int, selector) -> dict:
+def enumerate_simulated_protocol_ensemble(k: int, r: int, n: int, selector) -> CountMass:
     """Exact law of (table bits, simulator labels, simulator host)."""
-    states: dict = {}
-    n_tables = 1 << (k ** r)
-    for t_mask in range(n_tables):
-        f = FunctionTable.from_bits(k, r, [(t_mask >> i) & 1 for i in range(k ** r)])
-        inner = enumerate_simulated_ensemble(f, selector, n)
-        for (u, g_mask), w in inner.items():
-            _accumulate(states, (f.bits, u, g_mask), w / n_tables)
-    return states
-
-
-def _relabel_mask(g_mask: int, pi, n: int, r: int) -> int:
-    """Apply a vertex permutation to a packed adjacency mask."""
-    table = subset_table(n, r)
-    out = 0
-    for j in range(table.shape[0]):
-        if (g_mask >> j) & 1:
-            out |= 1 << rank_subset(sorted(pi[int(v)] for v in table[j]), n)
-    return out
+    return _transcripts(_all_tables(k, r), selector, n, True, True)

@@ -28,8 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ensemble import (check_key_width, count_states, covered_ranks, injection_count,
-                       injection_table, pack, unpack)
+from .ensemble import (CountMass, KeyLayout, check_key_width, count_states, covered_ranks,
+                       injection_count, injection_table, patterns)
 from .errors import GuardExceeded, ValidationError
 from .hypercore import (Hypergraph, binom, encode_label, label_bit_width,
                         rank_subset, subset_table)
@@ -259,98 +259,80 @@ def secrecy_reduction_map(h_prime: Hypergraph, g: Hypergraph, leaked, s: int,
     return mask_template(h_prime, s, access), g, group
 
 
-def _planted_states(access: AccessStructure, n: int, fixed):
-    """Yield (h_mask, g_mask, targets) uniformly over template x embedding x coins."""
+def _check_host(n: int, k: int) -> None:
+    if n < k:
+        raise ValidationError(f"host size n={n} must be at least k={k}")
+
+
+def _view_layout(access: AccessStructure, n: int, group) -> KeyLayout:
+    """Host mask, the published template above it, the coalition's shares on top."""
+    return KeyLayout(binom(n, access.r), binom(access.k, access.r), len(group), n)
+
+
+def _planted_rows(access: AccessStructure, n: int, fixed):
+    """Every template, and one row per (embedding, template) pair with
+    templates varying fastest: the host ranks the embedding covers and the
+    embedding's targets."""
     k, r = access.k, access.r
-    m_n, m_k = binom(n, r), binom(k, r)
-    targets_table = injection_table(n, k, fixed)
-    covered_table = covered_ranks(targets_table, k, r, n).tolist()
-    for targets, covered in zip(map(tuple, targets_table.tolist()), covered_table):
-        free = sorted(set(range(m_n)) - set(covered))
-        for h_mask in range(1 << m_k):
-            base = 0
-            for j, pos in enumerate(covered):
-                if (h_mask >> j) & 1:
-                    base |= 1 << pos
-            for pat in range(1 << len(free)):
-                g_mask = base
-                for idx, pos in enumerate(free):
-                    if (pat >> idx) & 1:
-                        g_mask |= 1 << pos
-                yield h_mask, g_mask, targets
+    _check_host(n, k)
+    templates = patterns(binom(k, r))
+    targets = injection_table(n, k, fixed)
+    covered = covered_ranks(targets, subset_table(k, r), n)
+    return (templates, np.repeat(covered, templates.shape[0], axis=0),
+            np.repeat(targets, templates.shape[0], axis=0))
 
 
-def masked_planted_ensemble_pmf(access: AccessStructure, s: int, n: int, leaked) -> dict:
+def _tile(rows: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """``rows`` (one per template) repeated once per embedding of ``like``."""
+    return np.tile(rows, (like.shape[0] // rows.shape[0], 1))
+
+
+def _masked(templates: np.ndarray, s: int, access: AccessStructure) -> np.ndarray:
+    """Each template row as :func:`mask_template` publishes it."""
+    return np.array([mask_template(Hypergraph.from_bits(access.k, access.r, t), s,
+                                   access).bits for t in templates], dtype=np.uint8)
+
+
+def masked_planted_ensemble_pmf(access: AccessStructure, s: int, n: int,
+                                leaked) -> CountMass:
     """Pushforward of the planted ensemble (leaked set embedded identically)
     under the reduction map: keys (published mask, host mask, shares of I)."""
-    group = tuple(sorted(leaked))
-    states = {}
-    count = 0
-    for h_mask, g_mask, targets in _planted_states(access, n, group):
-        h = Hypergraph.from_mask(access.k, access.r, h_mask)
-        key = (mask_template(h, s, access).mask, g_mask,
-               tuple(targets[i] for i in group))
-        states[key] = states.get(key, 0) + 1
-        count += 1
-    return {key: Fraction(c, count) for key, c in states.items()}
+    group = sorted(leaked)
+    templates, covered, targets = _planted_rows(access, n, group)
+    layout = _view_layout(access, n, group)
+    high = layout.high(targets[:, group], _tile(_masked(templates, s, access), targets))
+    ensemble = count_states(_tile(templates, targets), covered, layout.m, high)
+    return CountMass(ensemble, layout=layout)
 
 
-def masked_null_ensemble_pmf(access: AccessStructure, s: int, n: int, leaked) -> dict:
+def _null_view(k: int, r: int, n: int, group, publish) -> CountMass:
+    """A uniform template published as ``publish`` maps it, and a host
+    copying it only inside the leaked set, which is embedded identically."""
+    _check_host(n, k)
+    templates = patterns(binom(k, r))
+    leaked = np.array([group], dtype=np.int64)
+    internal = subset_table(len(group), r)
+    covered = np.tile(covered_ranks(leaked, internal, n), (templates.shape[0], 1))
+    layout = KeyLayout(binom(n, r), templates.shape[1], len(group), n)
+    high = layout.high(np.tile(leaked, (templates.shape[0], 1)), publish(templates))
+    bits = templates[:, covered_ranks(leaked, internal, k)[0]]
+    return CountMass(count_states(bits, covered, layout.m, high), layout=layout)
+
+
+def masked_null_ensemble_pmf(access: AccessStructure, s: int, n: int, leaked) -> CountMass:
     """Pushforward of the null ensemble under the reduction map."""
-    group = tuple(sorted(leaked))
-    k, r = access.k, access.r
-    m_n, m_k = binom(n, r), binom(k, r)
-    internal = [(rank_subset(f, n), rank_subset(f, k))
-                for f in itertools.combinations(group, r)]
-    free = sorted(set(range(m_n)) - {pos for pos, _ in internal})
-    states = {}
-    count = 0
-    for h_mask in range(1 << m_k):
-        h = Hypergraph.from_mask(k, r, h_mask)
-        pub = mask_template(h, s, access).mask
-        base = 0
-        for pos, j in internal:
-            if (h_mask >> j) & 1:
-                base |= 1 << pos
-        for pat in range(1 << len(free)):
-            g_mask = base
-            for idx, pos in enumerate(free):
-                if (pat >> idx) & 1:
-                    g_mask |= 1 << pos
-            key = (pub, g_mask, group)
-            states[key] = states.get(key, 0) + 1
-            count += 1
-    return {key: Fraction(c, count) for key, c in states.items()}
+    return _null_view(access.k, access.r, n, sorted(leaked),
+                      lambda templates: _masked(templates, s, access))
 
 
-def published_template_ensemble_pmf(k: int, r: int, n: int, leaked) -> dict:
+def published_template_ensemble_pmf(k: int, r: int, n: int, leaked) -> CountMass:
     """The hybrid the null pushforward must match: a fully published uniform
     template, a host copying it only inside the leaked set, identity leak."""
-    group = tuple(sorted(leaked))
-    m_n, m_k = binom(n, r), binom(k, r)
-    internal = [(rank_subset(f, n), rank_subset(f, k))
-                for f in itertools.combinations(group, r)]
-    free = sorted(set(range(m_n)) - {pos for pos, _ in internal})
-    states = {}
-    count = 0
-    for h_mask in range(1 << m_k):
-        base = 0
-        for pos, j in internal:
-            if (h_mask >> j) & 1:
-                base |= 1 << pos
-        for pat in range(1 << len(free)):
-            g_mask = base
-            for idx, pos in enumerate(free):
-                if (pat >> idx) & 1:
-                    g_mask |= 1 << pos
-            key = (h_mask, g_mask, group)
-            states[key] = states.get(key, 0) + 1
-            count += 1
-    return {key: Fraction(c, count) for key, c in states.items()}
+    return _null_view(k, r, n, sorted(leaked), lambda templates: templates)
 
 
 def deal_ensemble_pmf(access: AccessStructure, s: int, n: int, leaked, *,
-                      tie_public: bool = False, fix_leaked: bool = True) -> dict:
+                      tie_public: bool = False, fix_leaked: bool = True) -> CountMass:
     """Exact law of (published template, host, shares of the leaked set).
 
     ``tie_public=True`` publishes the template's own bits outside the
@@ -359,41 +341,25 @@ def deal_ensemble_pmf(access: AccessStructure, s: int, n: int, leaked, *,
     positions.  ``fix_leaked`` conditions the dealer's embedding on
     sending each leaked party to its own label, the normalization under
     which the reduction identities are stated.
+
+    The published bits are key coordinates above the host's: the dealer
+    forces the qualifying ones to the template bit XOR the secret (and,
+    tied, the rest to the template bit); fresh coins stay free.
     """
     if not access.uniform:
         raise ValidationError("qualifying sets must all have size r; lift the structure first")
-    group = tuple(sorted(leaked))
-    k, r = access.k, access.r
-    m_k = binom(k, r)
-    in_r = set(_r_ranks(access))
-    non_r = [j for j in range(m_k) if j not in in_r]
-    states = {}
-    count = 0
-    for h_mask, g_mask, targets in _planted_states(access, n, group if fix_leaked else ()):
-        pub_base = 0
-        for j in range(m_k):
-            bit = (h_mask >> j) & 1
-            if j in in_r:
-                bit ^= s
-            if bit:
-                pub_base |= 1 << j
-        shares = tuple(targets[i] for i in group)
-        if tie_public:
-            pubs = [pub_base]
-        else:
-            pubs = []
-            for pat in range(1 << len(non_r)):
-                pub = pub_base
-                for idx, j in enumerate(non_r):
-                    keep = (pat >> idx) & 1
-                    if keep != ((pub >> j) & 1):
-                        pub ^= 1 << j
-                pubs.append(pub)
-        for pub in pubs:
-            key = (pub, g_mask, shares)
-            states[key] = states.get(key, 0) + 1
-            count += 1
-    return {key: Fraction(c, count) for key, c in states.items()}
+    group = sorted(leaked)
+    templates, covered, targets = _planted_rows(access, n, group if fix_leaked else ())
+    layout = _view_layout(access, n, group)
+    r_ranks = np.array(_r_ranks(access), dtype=np.int64)
+    published = templates.copy()
+    published[:, r_ranks] ^= s
+    shown = np.arange(layout.side) if tie_public else r_ranks
+    bits = _tile(np.hstack([templates, published[:, shown]]), targets)
+    forced = np.hstack([covered, np.tile(layout.m + shown, (covered.shape[0], 1))])
+    ensemble = count_states(bits, forced, layout.m + layout.side,
+                            layout.high(targets[:, group]))
+    return CountMass(ensemble, layout=layout)
 
 
 def secrecy_tv(access: AccessStructure, leaked, n: int) -> Fraction:
@@ -407,34 +373,25 @@ def secrecy_tv(access: AccessStructure, leaked, n: int) -> Fraction:
     """
     if not access.uniform:
         raise ValidationError("qualifying sets must all have size r; lift the structure first")
-    group = tuple(sorted(int(p) for p in leaked))
+    group = sorted(int(p) for p in leaked)
     if any(p < 0 or p >= access.k for p in group) or len(set(group)) != len(group):
-        raise ValidationError(f"leaked coalition {list(group)} out of party range")
+        raise ValidationError(f"leaked coalition {group} out of party range")
     k, r = access.k, access.r
-    m_n, m_k = binom(n, r), binom(k, r)
+    _check_host(n, k)
     r_ranks = _r_ranks(access)
-    share_bits = max(1, (n - 1).bit_length()) * len(group)
-    check_key_width(len(r_ranks) + m_n + share_bits)
+    layout = KeyLayout(binom(n, r), len(r_ranks), len(group), n)
+    check_key_width(layout.width)
 
-    total = (1 << m_k) * injection_count(n, k, 0) * (1 << (m_n - m_k))
+    total = injection_count(n, k, 0) << layout.m
     if total > SECRECY_STATE_GUARD:
-        raise GuardExceeded(f"{total} dealer states exceed the enumeration guard")
+        raise GuardExceeded(f"{total} dealer states exceed the guard {SECRECY_STATE_GUARD}")
 
-    # one row per (embedding, template) pair, templates varying fastest
-    targets = injection_table(n, k, ())
-    templates = unpack(np.arange(1 << m_k, dtype=np.uint64), m_k)
-    covered = np.repeat(covered_ranks(targets, k, r, n), templates.shape[0], axis=0)
-    bits = np.tile(templates, (targets.shape[0], 1))
-    share_code = np.zeros(targets.shape[0], dtype=np.uint64)
-    for i in group:
-        share_code = share_code * np.uint64(n) + targets[:, i].astype(np.uint64)
-    ensembles = []
-    for s in (0, 1):
-        pub = pack(templates[:, r_ranks] ^ s, np.arange(len(r_ranks)))
-        high = (share_code[:, None] << np.uint64(len(r_ranks) + m_n)
-                | pub[None, :] << np.uint64(m_n)).ravel()
-        ensembles.append(count_states(bits, covered, m_n, high))
-    return ensembles[0].tv(ensembles[1])
+    templates, covered, targets = _planted_rows(access, n, ())
+    bits = _tile(templates, targets)
+    views = [count_states(bits, covered, layout.m, layout.high(targets[:, group],
+                                                               bits[:, r_ranks] ^ s))
+             for s in (0, 1)]
+    return views[0].tv(views[1])
 
 
 def csirmaz_f(a_size: int, l: int) -> int:

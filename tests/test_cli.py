@@ -257,3 +257,16 @@ def test_sample_oversized_host_fails_with_json(capsys, tmp_path):
         error = json.loads(out)["error"]
         assert code == 3 and error["type"] == "GuardExceeded"
         assert "C(100, 30)" in error["message"]
+
+
+def test_small_hosts_fail_with_json(capsys, tmp_path):
+    table = write(tmp_path, "f.json", {"k": 2, "r": 2, "bits": [0, 1, 1, 0]})
+    code, out = run_cli(capsys, "psm", "tv", "--F", table, "--n", "3")
+    error = json.loads(out)["error"]
+    assert code == 2 and error["type"] == "ValidationError"
+    assert error["message"] == "host size n=3 must be at least r*k=4"
+    acc = write(tmp_path, "r.json", {"k": 3, "r": 2, "R": [[0, 1]], "l": 2})
+    code, out = run_cli(capsys, "ss", "secrecy", "--R", acc, "--set", "1,2", "--n", "2")
+    error = json.loads(out)["error"]
+    assert code == 2 and error["type"] == "ValidationError"
+    assert error["message"] == "host size n=2 must be at least k=3"

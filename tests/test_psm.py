@@ -5,13 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from plantedsub.errors import ValidationError
+from plantedsub import psm
+from plantedsub.errors import GuardExceeded, ValidationError
 from plantedsub.hypercore import Embedding, Hypergraph, binom, rank_subset
 from plantedsub.models import make_rng
 from plantedsub.psm import (ConstantSelector, FunctionTable, PsmInstance,
                             TableSelector, Transcript, UniformSelector,
                             cross_set, embed_function,
                             enumerate_protocol_ensemble,
+                            enumerate_real_ensemble,
                             enumerate_reduction_pushforward,
                             enumerate_simulated_ensemble,
                             enumerate_simulated_protocol_ensemble,
@@ -205,3 +207,24 @@ def test_table_selector():
 def test_transcript_serialization():
     t = Transcript(messages=(3, 1), output=1)
     assert t.to_json_dict() == {"messages": [3, 1], "output": 1}
+
+
+@pytest.mark.parametrize("build,states", [
+    # 120 injections x 4 atoms x 2^6 free host coordinates
+    (lambda f, sel: enumerate_real_ensemble(f, sel, 5), 120 * 4 * 2 ** 6),
+    # 20 label tuples x 4 atoms x 2^9 free host coordinates
+    (lambda f, sel: enumerate_simulated_ensemble(f, sel, 5), 20 * 4 * 2 ** 9),
+    # 2^6 templates x 4 atoms x 4! relabellings x 2 embeddings x 2^0
+    (lambda f, sel: enumerate_reduction_pushforward("planted", 2, 2, 4, sel),
+     2 ** 6 * 4 * 24 * 2),
+], ids=["real", "simulated", "pushforward"])
+def test_guard_counts_materialised_states(monkeypatch, build, states):
+    f = FunctionTable.random(2, 2, make_rng(15))
+    sel = UniformSelector()
+    assert build(f, sel).ensemble.denom == states
+    monkeypatch.setattr(psm, "PSM_STATE_GUARD", states)
+    build(f, sel)
+    monkeypatch.setattr(psm, "PSM_STATE_GUARD", states - 1)
+    with pytest.raises(GuardExceeded,
+                       match=f"{states} enumeration states exceed the guard {states - 1}"):
+        build(f, sel)

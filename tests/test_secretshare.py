@@ -8,7 +8,7 @@ import pytest
 from plantedsub.errors import GuardExceeded, ValidationError
 from plantedsub.hypercore import Hypergraph, rank_subset
 from plantedsub.models import make_rng, tv_dict
-from plantedsub.secretshare import (AccessStructure, CsirmazReport,
+from plantedsub.secretshare import (SECRECY_STATE_GUARD, AccessStructure, CsirmazReport,
                                     ShareBundle, csirmaz_check, csirmaz_f,
                                     deal, deal_ensemble_pmf, encode_share,
                                     lift, mask_template,
@@ -215,6 +215,10 @@ def test_secrecy_tv_extremes_and_trend():
 def test_secrecy_tv_guard():
     with pytest.raises(GuardExceeded):
         secrecy_tv(EDGE01, (1, 2), 12)
+    # n=8: 336 embeddings x 2^28 host patterns, within the 64-bit key width
+    with pytest.raises(GuardExceeded, match=f"{336 << 28} dealer states exceed "
+                                            f"the guard {SECRECY_STATE_GUARD}"):
+        secrecy_tv(EDGE01, (1, 2), 8)
 
 
 def test_csirmaz_f_values():
