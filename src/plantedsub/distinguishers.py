@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .ensemble import Ensemble, unpack
+from .ensemble import Ensemble, covered_ranks, injection_table, union_keys, unpack
 from .errors import DegenerateNullVariance, GuardExceeded, ValidationError
 from .hypercore import Hypergraph, binom, induced, rank_subset, subset_table
 from .models import (ModelParams, Pmf, exact_pmf, sample_H, sample_null_bits,
@@ -28,6 +28,7 @@ from .models import (ModelParams, Pmf, exact_pmf, sample_H, sample_null_bits,
 
 SUBGRAPH_WORK_GUARD = 5_000_000
 _CHUNK = 8192
+CHUNK_BYTE_BUDGET = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -79,11 +80,7 @@ def make_subgraph_presence(h: Hypergraph, params: ModelParams, m: int | None = N
     if n_maps * width > SUBGRAPH_WORK_GUARD:
         raise GuardExceeded(f"{n_maps} placements x {width} coordinates exceed the scan guard")
     pattern = induced(h, list(range(m))).bits
-    m_subsets = subset_table(m, params.r)
-    cand = np.empty((n_maps, width), dtype=np.int64)
-    for i, psi in enumerate(itertools.permutations(range(params.n), m)):
-        for j in range(width):
-            cand[i, j] = rank_subset(sorted(psi[int(v)] for v in m_subsets[j]), params.n)
+    cand = covered_ranks(injection_table(params.n, m, ()), subset_table(m, params.r), params.n)
 
     def batch(bits):
         return kernels.match_any_batch(bits, cand, pattern).astype(np.float64)
@@ -232,11 +229,18 @@ def estimate_advantage(stat: Statistic, h: Hypergraph, params: ModelParams,
 
     Trials are drawn in fixed-size chunks with substream seeds derived
     from (seed, side, chunk index) and reduced in chunk order, so the
-    result does not depend on scheduling.  The standard error comes from
-    the first-order delta method on the normalized mean gap.
+    result does not depend on scheduling.  A chunk holds ``_CHUNK``
+    trials, or fewer when their (trials, C(n, r)) uint8 bit matrix would
+    pass ``CHUNK_BYTE_BUDGET`` bytes.  The standard error comes from the
+    first-order delta method on the normalized mean gap.
     """
     if trials < 2:
         raise ValidationError("need at least 2 trials")
+    coords = binom(params.n, params.r)
+    if coords > CHUNK_BYTE_BUDGET:
+        raise GuardExceeded(f"one trial's bit matrix row needs C(n, r) = {coords} bytes; "
+                            f"the chunk budget is {CHUNK_BYTE_BUDGET} bytes")
+    chunk = min(_CHUNK, CHUNK_BYTE_BUDGET // coords)
     seed = params.seed if seed is None else seed
     sums_p = [0.0, 0.0]
     sums_q = [0.0, 0.0, 0.0, 0.0]
@@ -247,7 +251,7 @@ def estimate_advantage(stat: Statistic, h: Hypergraph, params: ModelParams,
         done = 0
         chunk_idx = 0
         while done < trials:
-            size = min(_CHUNK, trials - done)
+            size = min(chunk, trials - done)
             bits = sampler(h, params, size, trial_rng(seed, side, chunk_idx))
             vals = stat.batch(bits)
             for i, s in enumerate(_moment_sums(vals, depth)):
@@ -296,7 +300,7 @@ def exact_advantage(stat: Statistic, h: Hypergraph, params: ModelParams,
         planted = exact_pmf(h, params, "planted", rational=True)
         null = exact_pmf(h, params, "null", rational=True)
     p, q = planted.ensemble, null.ensemble
-    keys = np.union1d(p.keys, q.keys)
+    keys = union_keys(p.keys, q.keys)
     raw = stat.batch(unpack(keys, binom(params.n, params.r)))
     rounded = np.rint(raw)
     if np.array_equal(raw, rounded) and np.abs(rounded).max(initial=0) < 2 ** 31:

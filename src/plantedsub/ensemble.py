@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GuardExceeded, ValidationError
-from .hypercore import rank_rows
+from .hypercore import rank_lut, rank_rows
 
 KEY_BITS = 64
 _INT64_LIMIT = 1 << 63
@@ -78,7 +78,7 @@ class Ensemble:
 
     def tv(self, other: "Ensemble") -> Fraction:
         """Total variation distance (1/2) sum |p - q|."""
-        keys = np.union1d(self.keys, other.keys)
+        keys = union_keys(self.keys, other.keys)
         scale = 2 * self.denom * other.denom
         p = _wide(self.on(keys), scale) * other.denom
         q = _wide(other.on(keys), scale) * self.denom
@@ -128,9 +128,25 @@ def injection_table(n: int, k: int, fixed) -> np.ndarray:
 def covered_ranks(targets: np.ndarray, subsets: np.ndarray, n: int) -> np.ndarray:
     """(E, S) host ranks of the image of each row of ``subsets``, an (S, r)
     table of r-subsets of [0, k), under each row of ``targets``, an (E, k)
-    table of maps [0, k) -> [0, n)."""
-    images = np.sort(targets[:, subsets], axis=2).reshape(-1, subsets.shape[1])
-    return rank_rows(images, n).reshape(targets.shape[0], subsets.shape[0])
+    table of injections [0, k) -> [0, n).
+
+    Looked up in the order-free :func:`~plantedsub.hypercore.rank_lut`
+    when its n**r entries are no more than the E * S ranks asked for;
+    otherwise each image is sorted and ranked.
+    """
+    rows, (cols, r) = targets.shape[0], subsets.shape
+    if n ** r <= rows * cols:
+        return rank_lut(n, r)[tuple(targets[:, subsets[:, i]] for i in range(r))]
+    images = np.sort(targets[:, subsets], axis=2).reshape(-1, r)
+    return rank_rows(images, n).reshape(rows, cols)
+
+
+def union_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys of two key arrays (``np.union1d``, by one sort)."""
+    keys = np.sort(np.concatenate([a, b]))
+    fresh = np.ones(keys.size, dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    return keys[fresh]
 
 
 def pack(bits, positions: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -99,8 +100,6 @@ def unrank_subset(rank: int, n: int, r: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def subset_table(n: int, r: int) -> np.ndarray:
     """All r-subsets of [0, n) in lexicographic order, as an (M, r) int64 array."""
-    import itertools
-
     m = binom(n, r)
     table = np.empty((m, r), dtype=np.int64)
     for i, combo in enumerate(itertools.combinations(range(n), r)):
@@ -130,6 +129,20 @@ def _rank_prefix_tables(n: int, r: int) -> np.ndarray:
         tables[j][n] = acc
     tables.setflags(write=False)
     return tables
+
+
+@lru_cache(maxsize=16)
+def rank_lut(n: int, r: int) -> np.ndarray:
+    """Order-free rank table: an (n,)*r int64 array whose entry at any
+    ordering of an r-subset's vertices is that subset's rank; entries
+    with a repeated vertex are -1.  It holds n**r entries, so callers
+    use it only where their output is at least that large."""
+    table = subset_table(n, r)
+    lut = np.full((n,) * r, -1, dtype=np.int64)
+    for order in itertools.permutations(range(r)):
+        lut[tuple(table[:, list(order)].T)] = np.arange(table.shape[0])
+    lut.setflags(write=False)
+    return lut
 
 
 def rank_rows(rows: np.ndarray, n: int) -> np.ndarray:
@@ -260,7 +273,7 @@ class Hypergraph:
         return {
             "n": self.n,
             "r": self.r,
-            "present": [list(e) for e in self.present_edges()],
+            "present": subset_table(self.n, self.r)[self.bits == 1].tolist(),
         }
 
     def to_json(self) -> str:

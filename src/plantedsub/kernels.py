@@ -9,18 +9,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hypercore import rank_rows
+from .ensemble import covered_ranks
+
+_ONES = np.uint64(2 ** 64 - 1)
 
 
 def _plant_batch_np(bits, phis, h_subsets, h_bits, n):
-    for j in range(h_subsets.shape[0]):
-        images = np.sort(phis[:, h_subsets[j]], axis=1)
-        bits[np.arange(bits.shape[0]), rank_rows(images, n)] = h_bits[j]
+    rows = np.arange(bits.shape[0])
+    bits[rows[:, None], covered_ranks(phis, h_subsets, n)] = h_bits
 
 
 def _match_any_np(bits, cand_ranks, patterns):
-    hits = bits[:, cand_ranks] == patterns[None, None, :]
-    return hits.all(axis=2).any(axis=1).astype(np.uint8)
+    # Bit-sliced: word row i holds column cols[i]'s bit for 64 trials per word.
+    trials = bits.shape[0]
+    cols, inverse = np.unique(cand_ranks, return_inverse=True)
+    inverse = inverse.reshape(cand_ranks.shape)
+    packed = np.packbits(bits[:, cols].T, axis=1)
+    words = np.zeros((cols.size, -(-trials // 64) * 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    words = words.view(np.uint64)
+    flip = np.where(np.asarray(patterns) == 1, np.uint64(0), _ONES)  # all ones where bit 0
+    match = words[inverse[:, 0]] ^ flip[0]
+    for j in range(1, inverse.shape[1]):
+        match &= words[inverse[:, j]] ^ flip[j]
+    hits = np.bitwise_or.reduce(match, axis=0)
+    return np.unpackbits(hits.view(np.uint8), count=trials)
 
 
 def plant_batch(bits: np.ndarray, phis: np.ndarray, h_subsets: np.ndarray,
@@ -29,7 +42,9 @@ def plant_batch(bits: np.ndarray, phis: np.ndarray, h_subsets: np.ndarray,
 
     ``bits`` is (trials, C(n, r)) uint8; ``phis`` is (trials, k) int64 giving
     each trial's embedding targets; ``h_subsets`` lists the template's
-    r-subsets of [0, k) and ``h_bits`` the template bit per subset.
+    r-subsets of [0, k) and ``h_bits`` the template bit per subset.  The
+    covered ranks come from :func:`~plantedsub.ensemble.covered_ranks` and
+    are written in one scatter.
     """
     if h_subsets.shape[0] == 0:
         return
@@ -42,6 +57,9 @@ def match_any_batch(bits: np.ndarray, cand_ranks: np.ndarray,
 
     ``cand_ranks`` is (candidates, width) int64 of coordinate ranks and
     ``patterns`` the (width,) uint8 bits every matching candidate must show.
+    The scan is bit-sliced: the columns the candidates use are packed along
+    trials into uint64 words, each compared with its pattern bit by XOR,
+    ANDed across the width and ORed across candidates.
     """
     if cand_ranks.shape[0] == 0:
         return np.zeros(bits.shape[0], dtype=np.uint8)

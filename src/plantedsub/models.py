@@ -19,7 +19,6 @@ them as a key -> Fraction mapping only when asked.
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from . import kernels
 from .ensemble import (CountMass, Ensemble, count_states, covered_ranks,
                        injection_count, injection_table)
 from .errors import GuardExceeded, ValidationError
-from .hypercore import Embedding, Hypergraph, binom, rank_subset, subset_table
+from .hypercore import Embedding, Hypergraph, binom, subset_table
 
 PMF_COORD_GUARD = 20
 EMBEDDING_GUARD = 10_000_000
@@ -149,18 +148,26 @@ def sample_planted(h: Hypergraph, params: ModelParams, rng: np.random.Generator)
     _check_shapes(h, params)
     emb = sample_embedding(params, rng)
     bits = rng.integers(0, 2, size=_host_coords(params), dtype=np.uint8)
-    h_bits = h.bits
-    for j, f in enumerate(subset_table(params.k, params.r)):
-        bits[rank_subset(emb.apply(f), params.n)] = h_bits[j]
+    targets = np.array([emb.targets], dtype=np.int64)
+    bits[covered_ranks(targets, subset_table(params.k, params.r), params.n)[0]] = h.bits
     return Hypergraph.from_bits(params.n, params.r, bits)
+
+
+def _leaked_internal(h: Hypergraph, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Host ranks of the r-subsets inside the leaked set, and the template
+    bits the null ensemble copies onto them."""
+    leaked = np.array([params.L], dtype=np.int64)
+    internal = subset_table(params.ell, params.r)
+    return (covered_ranks(leaked, internal, params.n)[0],
+            h.bits[covered_ranks(leaked, internal, params.k)[0]])
 
 
 def sample_null(h: Hypergraph, params: ModelParams, rng: np.random.Generator) -> Hypergraph:
     """One null draw: copy the template on leaked-internal subsets, coins elsewhere."""
     _check_shapes(h, params)
     bits = rng.integers(0, 2, size=_host_coords(params), dtype=np.uint8)
-    for f in itertools.combinations(params.L, params.r):
-        bits[rank_subset(f, params.n)] = h.bit(rank_subset(f, params.k))
+    covered, h_bits = _leaked_internal(h, params)
+    bits[covered] = h_bits
     return Hypergraph.from_bits(params.n, params.r, bits)
 
 
@@ -186,13 +193,14 @@ def sample_planted_bits(h: Hypergraph, params: ModelParams, trials: int,
                         rng: np.random.Generator) -> np.ndarray:
     """Batch planted sampler: (trials, C(n, r)) uint8 bit matrix.
 
-    Embedding keys are drawn before the base coordinate matrix; batch
-    draws are deterministic for a fixed rng state but follow their own
-    draw order, distinct from repeated single-draw calls.
+    Embedding keys are drawn before the base coordinate matrix, whose
+    coins are drawn packed, eight to a random byte (:func:`_batch_coins`);
+    batch draws are deterministic for a fixed rng state but follow their
+    own draw order, distinct from repeated single-draw calls.
     """
     _check_shapes(h, params)
     phis = sample_embedding_targets_batch(params, trials, rng)
-    bits = rng.integers(0, 2, size=(trials, _host_coords(params)), dtype=np.uint8)
+    bits = _batch_coins(trials, _host_coords(params), rng)
     kernels.plant_batch(bits, phis, np.asarray(subset_table(params.k, params.r)),
                         h.bits, params.n)
     return bits
@@ -200,12 +208,24 @@ def sample_planted_bits(h: Hypergraph, params: ModelParams, trials: int,
 
 def sample_null_bits(h: Hypergraph, params: ModelParams, trials: int,
                      rng: np.random.Generator) -> np.ndarray:
-    """Batch null sampler: (trials, C(n, r)) uint8 bit matrix."""
+    """Batch null sampler: (trials, C(n, r)) uint8 bit matrix.
+
+    The coins are drawn packed, eight to a random byte
+    (:func:`_batch_coins`), so the stream differs from repeated
+    single-draw calls.
+    """
     _check_shapes(h, params)
-    bits = rng.integers(0, 2, size=(trials, _host_coords(params)), dtype=np.uint8)
-    for f in itertools.combinations(params.L, params.r):
-        bits[:, rank_subset(f, params.n)] = h.bit(rank_subset(f, params.k))
+    bits = _batch_coins(trials, _host_coords(params), rng)
+    covered, h_bits = _leaked_internal(h, params)
+    bits[:, covered] = h_bits
     return bits
+
+
+def _batch_coins(trials: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """(trials, m) uint8 fair coins, unpacked from ceil(m / 8) uniform
+    bytes per trial."""
+    packed = rng.integers(0, 256, size=(trials, -(-m // 8)), dtype=np.uint8)
+    return np.unpackbits(packed, axis=1, count=m)
 
 
 @dataclass(frozen=True)
@@ -261,10 +281,8 @@ def exact_pmf(h: Hypergraph, params: ModelParams, which: str, rational: bool = T
         raise ValidationError(f"which must be 'planted' or 'null', got {which!r}")
 
     if which == "null":
-        leaked = np.array([params.L], dtype=np.int64)
-        internal = subset_table(params.ell, params.r)
-        covered = covered_ranks(leaked, internal, params.n)
-        bits = h.bits[covered_ranks(leaked, internal, params.k)]
+        covered, bits = _leaked_internal(h, params)
+        covered = covered[None, :]
     else:
         n_emb = injection_count(params.n, params.k, params.ell)
         if n_emb > EMBEDDING_GUARD:

@@ -30,7 +30,7 @@ import numpy as np
 from .ensemble import (CountMass, KeyLayout, count_states, covered_ranks, injection_count,
                        injection_table, patterns)
 from .errors import GuardExceeded, ValidationError
-from .hypercore import (Embedding, Hypergraph, binom, bit_to_spin, rank_rows, rank_subset,
+from .hypercore import (Embedding, Hypergraph, binom, bit_to_spin, rank_subset,
                         relabel, spin_to_bit, subset_table)
 from .models import ModelParams, sample_embedding
 
@@ -361,7 +361,7 @@ def _transcripts(tables, selector, n: int, simulated: bool, with_table: bool) ->
         if n < r:
             raise ValidationError(f"need n >= r = {r}")
         maps = injection_table(n, r, ())
-        forced = rank_rows(np.sort(maps, axis=1), n)[:, None]
+        forced = covered_ranks(maps, subset_table(r, r), n)
     else:
         _check_host(n, r * k)
         maps = injection_table(n, r * k, ())

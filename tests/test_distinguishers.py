@@ -210,3 +210,36 @@ def test_report_serialization():
     rep = AdvantageReport("edgecount", -3.0, 0.0, 6.0, -1.22, 0.0, "exact", 0)
     out = rep.to_json_dict()
     assert out["statistic"] == "edgecount" and out["mode"] == "exact"
+
+
+def test_estimate_advantage_chunks_within_byte_budget(monkeypatch):
+    import plantedsub.distinguishers as dist
+    from plantedsub.distinguishers import CHUNK_BYTE_BUDGET, Statistic
+
+    sizes = []
+
+    def stub_sampler(h, params, trials, rng):
+        sizes.append(trials)
+        return np.zeros((trials, 1), dtype=np.uint8)  # stands in for (trials, C(n, r))
+
+    monkeypatch.setattr(dist, "sample_planted_bits", stub_sampler)
+    monkeypatch.setattr(dist, "sample_null_bits", stub_sampler)
+    stat = Statistic("alternating", 1, lambda bits: np.arange(bits.shape[0]) % 2.0)
+    h = sample_H(4, 2, make_rng(0))
+
+    params = ModelParams(n=2000, k=4, r=2)  # C(2000, 2) = 1999000 bytes per trial
+    per_chunk = CHUNK_BYTE_BUDGET // binom(2000, 2)
+    assert 1 < per_chunk < 100
+    estimate_advantage(stat, h, params, trials=100, seed=1)
+    assert max(sizes) * binom(2000, 2) <= CHUNK_BYTE_BUDGET
+    assert sizes == 2 * ([per_chunk] * (100 // per_chunk) + [100 % per_chunk])
+
+    sizes.clear()
+    estimate_advantage(stat, h, ModelParams(n=64, k=4, r=2), trials=20000, seed=1)
+    assert sizes == 2 * [8192, 8192, 3616]
+
+    sizes.clear()
+    wide = ModelParams(n=12000, k=4, r=2)  # C(12000, 2) = 71994000 bytes per trial
+    with pytest.raises(GuardExceeded, match=f"71994000 bytes.*{CHUNK_BYTE_BUDGET} bytes"):
+        estimate_advantage(stat, h, wide, trials=100, seed=1)
+    assert sizes == []

@@ -200,3 +200,18 @@ def test_distinguish_exact_over_guard_exits_3(capsys, tmp_path):
     error = json.loads(capsys.readouterr().out)["error"]
     assert code == 3 and error["type"] == "GuardExceeded"
     assert str(STATE_GUARD) in error["message"]
+
+
+def test_union_keys_matches_union1d():
+    from plantedsub.ensemble import union_keys
+
+    rng = make_rng(4)
+    some = np.unique(rng.integers(0, 1 << 40, size=300).astype(np.uint64))
+    empty = np.empty(0, dtype=np.uint64)
+    pairs = [(empty, empty), (empty, some), (some[::2], some[1::2]), (some, some),
+             (some[:200], some[100:])]
+    for a, b in pairs:
+        got = union_keys(a, b)
+        expect = np.union1d(a, b)
+        assert got.dtype == expect.dtype == np.uint64
+        np.testing.assert_array_equal(got, expect)

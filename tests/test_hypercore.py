@@ -194,3 +194,14 @@ def test_rank_prefix_tables_refuse_int64_overflow():
     with pytest.raises(GuardExceeded, match=r"n=100 vertices with r=30"):
         _rank_prefix_tables(100, 30)
     assert _rank_prefix_tables(66, 33)[32][66] == binom(66, 33)
+
+
+def test_to_json_matches_per_edge_path():
+    rng = np.random.default_rng(12)
+    graphs = [Hypergraph.from_bits(9, 2, rng.integers(0, 2, size=36)),
+              Hypergraph.from_bits(7, 3, rng.integers(0, 2, size=35)),
+              Hypergraph.empty(6, 3), Hypergraph.empty(1, 2)]
+    for g in graphs:
+        old = {"n": g.n, "r": g.r, "present": [list(e) for e in g.present_edges()]}
+        assert g.to_json() == json.dumps(old, sort_keys=True, separators=(",", ":"))
+        assert Hypergraph.from_json(g.to_json()) == g

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -47,3 +50,65 @@ def test_match_any_edge_shapes():
     empty_width = kernels.match_any_batch(bits, np.empty((3, 0), np.int64),
                                           np.empty(0, np.uint8))
     assert empty_width.tolist() == [1] * 5
+
+
+def test_rank_lut_matches_rank_subset_in_every_order():
+    from plantedsub.hypercore import rank_lut, rank_subset
+
+    for n, r in [(5, 2), (6, 3), (6, 4), (7, 3)]:
+        lut = rank_lut(n, r)
+        assert lut.shape == (n,) * r and lut.dtype == np.int64
+        for combo in itertools.combinations(range(n), r):
+            for order in itertools.permutations(combo):
+                assert lut[order] == rank_subset(combo, n)
+        # every entry with a repeated vertex is -1
+        assert (lut == -1).sum() == n ** r - binom(n, r) * math.factorial(r)
+
+
+@pytest.mark.parametrize("n,k,r,L", [
+    (8, 4, 2, ()), (8, 4, 2, (0, 1)), (7, 5, 3, ()), (7, 5, 3, (0, 2)),
+    (8, 5, 4, ()), (8, 5, 4, (1,)),
+])
+@pytest.mark.parametrize("trials", [1, 1000])
+def test_plant_batch_matches_rank_subset_oracle(monkeypatch, n, k, r, L, trials):
+    from plantedsub import ensemble
+    from plantedsub.hypercore import rank_subset
+
+    lut_calls = []
+    real_lut = ensemble.rank_lut
+    monkeypatch.setattr(ensemble, "rank_lut",
+                        lambda *a: lut_calls.append(a) or real_lut(*a))
+    rng = make_rng(29)
+    params = ModelParams(n=n, k=k, r=r, L=L)
+    h = sample_H(k, r, rng)
+    phis = sample_embedding_targets_batch(params, trials, rng)
+    base = rng.integers(0, 2, size=(trials, binom(n, r)), dtype=np.uint8)
+    subsets = np.asarray(subset_table(k, r))
+
+    out = base.copy()
+    kernels.plant_batch(out, phis, subsets, h.bits, n)
+
+    expect = base.copy()
+    for t in range(trials):
+        for j, f in enumerate(subsets):
+            expect[t, rank_subset(sorted(int(phis[t, u]) for u in f), n)] = h.bits[j]
+    np.testing.assert_array_equal(out, expect)
+    # the table is used when its n**r entries do not outnumber the ranks asked
+    # for: here one trial takes the sort-and-rank branch, a thousand the table
+    assert bool(lut_calls) == (n ** r <= trials * subsets.shape[0]) == (trials == 1000)
+
+
+@pytest.mark.parametrize("trials", [1, 63, 64, 65, 500])
+def test_match_any_matches_direct_scan(trials):
+    rng = make_rng(trials)
+    bits = rng.integers(0, 2, size=(trials, 12), dtype=np.uint8)
+    # 12 columns for 8 x 3 entries: candidates share columns; row 7 repeats row 0's
+    cand = rng.integers(0, 12, size=(8, 3)).astype(np.int64)
+    cand[7] = cand[0][::-1]
+    for patterns in (rng.integers(0, 2, size=3, dtype=np.uint8),
+                     np.zeros(3, dtype=np.uint8), np.ones(3, dtype=np.uint8)):
+        got = kernels.match_any_batch(bits, cand, patterns)
+        assert got.dtype == np.uint8 and got.shape == (trials,)
+        expect = [int(any(all(bits[t, cand[c, p]] == patterns[p] for p in range(3))
+                          for c in range(8))) for t in range(trials)]
+        assert got.tolist() == expect

@@ -254,3 +254,38 @@ def test_chi_square_requires_support():
     with pytest.raises(ValidationError):
         chi_square(p, q)
     assert chi_square(q, p) == 1
+
+
+@pytest.mark.parametrize("n,r", [(7, 2), (12, 2), (8, 3)])
+def test_batch_coins_packed(n, r):
+    # 21, 66 and 56 coordinates: two are not a whole number of bytes
+    params = ModelParams(n=n, k=3, r=r)
+    h = sample_H(3, r, make_rng(0))
+    m = binom(n, r)
+    first = sample_null_bits(h, params, 13, make_rng(5))
+    assert first.shape == (13, m) and first.dtype == np.uint8
+    np.testing.assert_array_equal(first, sample_null_bits(h, params, 13, make_rng(5)))
+    bits = sample_null_bits(h, params, 20000, make_rng(6))
+    assert set(np.unique(bits).tolist()) <= {0, 1}
+    sigma = 0.5 / math.sqrt(20000)
+    assert np.abs(bits.mean(axis=0) - 0.5).max() < 5 * sigma
+    planted = sample_planted_bits(h, params, 20000, make_rng(7))
+    assert planted.shape == (20000, m) and planted.dtype == np.uint8
+
+
+def test_single_draw_samplers_match_rank_subset_reference():
+    for (n, k, r, L) in [(9, 5, 2, ()), (9, 5, 2, (0, 1, 2)), (7, 4, 3, (0, 1, 3))]:
+        params = ModelParams(n=n, k=k, r=r, L=L)
+        h = sample_H(k, r, make_rng(n + k))
+        rng, ref_rng = make_rng(3), make_rng(3)
+        for _ in range(5):
+            emb = sample_embedding(params, ref_rng)
+            bits = ref_rng.integers(0, 2, size=binom(n, r), dtype=np.uint8)
+            for j, f in enumerate(itertools.combinations(range(k), r)):
+                bits[rank_subset(emb.apply(f), n)] = h.bits[j]
+            assert sample_planted(h, params, rng) == Hypergraph.from_bits(n, r, bits)
+        for _ in range(5):
+            bits = ref_rng.integers(0, 2, size=binom(n, r), dtype=np.uint8)
+            for f in itertools.combinations(L, r):
+                bits[rank_subset(f, n)] = h.bit(rank_subset(f, k))
+            assert sample_null(h, params, rng) == Hypergraph.from_bits(n, r, bits)
