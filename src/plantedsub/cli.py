@@ -332,14 +332,15 @@ def _op_edgecount_scaling(point: dict, seed: int):
     return [("mean_abs_advantage", mean, sem, "exact-per-template")]
 
 
+# operation name -> (function, the metric names each of its points records)
 OPERATIONS = {
-    "lr_exact": _op_lr_exact,
-    "lr_bound": _op_lr_bound,
-    "lr_theorem": _op_lr_theorem,
-    "lr_corollary": _op_lr_corollary,
-    "lr_nvd": _op_lr_nvd,
-    "distinguish": _op_distinguish,
-    "edgecount_scaling": _op_edgecount_scaling,
+    "lr_exact": (_op_lr_exact, ["lr_squared"]),
+    "lr_bound": (_op_lr_bound, ["combinatorial_bound"]),
+    "lr_theorem": (_op_lr_theorem, ["theorem_low", "theorem_high", "theorem_total"]),
+    "lr_corollary": (_op_lr_corollary, ["corollary_bound"]),
+    "lr_nvd": (_op_lr_nvd, ["nvd"]),
+    "distinguish": (_op_distinguish, ["advantage"]),
+    "edgecount_scaling": (_op_edgecount_scaling, ["mean_abs_advantage"]),
 }
 
 
@@ -381,10 +382,10 @@ def run_experiment(config: dict, threads: int = 1) -> dict:
     for field in ("name", "operation", "grid", "output"):
         if field not in config:
             raise ValidationError(f"experiment config is missing {field!r}")
-    op = OPERATIONS.get(config["operation"])
-    if op is None:
+    if config["operation"] not in OPERATIONS:
         raise ValidationError(
             f"unknown operation {config['operation']!r}; choose from {sorted(OPERATIONS)}")
+    op, metric_names = OPERATIONS[config["operation"]]
     digest = config_hash(config)
     seed = int(config.get("seed", 0))
     points = _grid_points(config)
@@ -415,7 +416,7 @@ def run_experiment(config: dict, threads: int = 1) -> dict:
         return out
 
     todo = [p for p in points
-            if any((_dump(p), m) not in done for m in _metric_names(op, p))]
+            if any((_dump(p), m) not in done for m in metric_names)]
     if threads > 1 and len(todo) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, todo))
@@ -430,19 +431,6 @@ def run_experiment(config: dict, threads: int = 1) -> dict:
                 written += 1
     return {"config": digest, "points": len(points), "written": written,
             "skipped": len(points) - len(todo), "output": config["output"]}
-
-
-def _metric_names(op, point: dict) -> list[str]:
-    names = {
-        _op_lr_exact: ["lr_squared"],
-        _op_lr_bound: ["combinatorial_bound"],
-        _op_lr_theorem: ["theorem_low", "theorem_high", "theorem_total"],
-        _op_lr_corollary: ["corollary_bound"],
-        _op_lr_nvd: ["nvd"],
-        _op_distinguish: ["advantage"],
-        _op_edgecount_scaling: ["mean_abs_advantage"],
-    }
-    return names[op]
 
 
 def emit_table(results_path: str, x: str, y: str) -> str:
@@ -488,6 +476,14 @@ def _cmd_experiment_table(args) -> int:
 
 # --- argument wiring ----------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (a missing flag, a bad value) raise ValidationError, so
+    they print as JSON with exit code 2 like every other contract violation."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     parser.add_argument("--threads", type=int, default=1, help="worker pool size")
@@ -496,7 +492,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _build_parser(group: str, verb: str | None) -> tuple[argparse.ArgumentParser, callable]:
     prog = f"plantedsub {group}" + (f" {verb}" if verb else "")
-    p = argparse.ArgumentParser(prog=prog)
+    p = _Parser(prog=prog)
     _add_common(p)
     if (group, verb) == ("sample", None):
         p.add_argument("--model", choices=["planted", "null"], required=True)

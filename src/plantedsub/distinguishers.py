@@ -22,8 +22,8 @@ import numpy as np
 from . import kernels
 from .ensemble import Ensemble, covered_ranks, injection_table, union_keys, unpack
 from .errors import DegenerateNullVariance, GuardExceeded, ValidationError
-from .hypercore import Hypergraph, binom, induced, rank_subset, subset_table
-from .models import (ModelParams, Pmf, exact_pmf, sample_H, sample_null_bits,
+from .hypercore import Hypergraph, binom, induced, subset_table
+from .models import (ModelParams, Pmf, _check_shapes, exact_pmf, sample_H, sample_null_bits,
                      sample_planted_bits, trial_rng)
 
 SUBGRAPH_WORK_GUARD = 5_000_000
@@ -67,8 +67,7 @@ def default_pattern_size(params: ModelParams) -> int:
 def make_subgraph_presence(h: Hypergraph, params: ModelParams, m: int | None = None) -> Statistic:
     """1 iff some injective placement of the template's first m vertices
     reproduces their induced sub-hypergraph inside the observed graph."""
-    if h.n != params.k or h.r != params.r:
-        raise ValidationError("template shape does not match params")
+    _check_shapes(h, params)
     if m is None:
         m = default_pattern_size(params)
     if m > params.k or m < 0:
@@ -97,11 +96,23 @@ def default_probe_vertex(params: ModelParams) -> int:
     raise ValidationError("no template vertex outside the leaked set (k = ell)")
 
 
+def _outside(leaked, n: int) -> list[int]:
+    """The vertices of [0, n) outside the leaked set, in increasing order."""
+    leaked = set(leaked)
+    return [v for v in range(n) if v not in leaked]
+
+
+def _stem_ranks(prefix, vertices, subsets: np.ndarray, n: int) -> np.ndarray:
+    """Ranks among the r-subsets of [0, n): entry (i, j) ranks the vertices
+    of ``prefix + (vertices[i],)`` at the positions listed in ``subsets[j]``."""
+    rows = np.array([tuple(prefix) + (v,) for v in vertices], dtype=np.int64)
+    return covered_ranks(rows.reshape(len(vertices), len(prefix) + 1), subsets, n)
+
+
 def make_leakage_match(h: Hypergraph, params: ModelParams, w: int | None = None) -> Statistic:
     """1 iff some observed vertex's adjacencies into the leaked set match the
     template adjacencies of probe vertex w."""
-    if h.n != params.k or h.r != params.r:
-        raise ValidationError("template shape does not match params")
+    _check_shapes(h, params)
     r, ell = params.r, params.ell
     if ell < r - 1:
         raise ValidationError(f"need ell >= r - 1, got ell={ell}")
@@ -111,15 +122,10 @@ def make_leakage_match(h: Hypergraph, params: ModelParams, w: int | None = None)
         w = default_probe_vertex(params)
     if w in params.L or not (0 <= w < params.k):
         raise ValidationError(f"probe vertex w={w} must lie in [0, k) outside L")
-    stems = list(itertools.combinations(params.L, r - 1))
-    pattern = np.array(
-        [h.bit(rank_subset(sorted(t + (w,)), params.k)) for t in stems], dtype=np.uint8
-    )
-    candidates = [v for v in range(params.n) if v not in set(params.L)]
-    cand = np.empty((len(candidates), len(stems)), dtype=np.int64)
-    for i, v in enumerate(candidates):
-        for j, t in enumerate(stems):
-            cand[i, j] = rank_subset(sorted(t + (v,)), params.n)
+    # subsets of positions in the row (L..., probe): each stem plus the probe
+    stems = np.array([t + (ell,) for t in itertools.combinations(range(ell), r - 1)])
+    pattern = h.bits[_stem_ranks(params.L, [w], stems, params.k)[0]]
+    cand = _stem_ranks(params.L, _outside(params.L, params.n), stems, params.n)
 
     def batch(bits):
         return kernels.match_any_batch(bits, cand, pattern).astype(np.float64)
@@ -135,22 +141,14 @@ def make_linear_leakage(h: Hypergraph, params: ModelParams) -> Statistic:
     sign-match indicator is a function of the n - ell stem coordinates,
     so that is its declared polynomial degree.
     """
-    if h.n != params.k or h.r != params.r:
-        raise ValidationError("template shape does not match params")
+    _check_shapes(h, params)
     r = params.r
     if params.ell < r - 1:
         raise ValidationError(f"need ell >= r - 1, got ell={params.ell}")
-    stem = params.L[: r - 1]
-    leaked = set(params.L)
-    h_sum = sum(
-        h.spin(rank_subset(sorted(stem + (v,)), params.k))
-        for v in range(params.k) if v not in leaked
-    )
-    target = 1 if h_sum >= 0 else -1
-    g_pos = np.array(
-        [rank_subset(sorted(stem + (v,)), params.n) for v in range(params.n) if v not in leaked],
-        dtype=np.int64,
-    )
+    stem, edge = params.L[: r - 1], np.arange(r)[None, :]
+    h_pos = _stem_ranks(stem, _outside(params.L, params.k), edge, params.k)[:, 0]
+    target = 1 if h.spins[h_pos].sum() >= 0 else -1
+    g_pos = _stem_ranks(stem, _outside(params.L, params.n), edge, params.n)[:, 0]
 
     def batch(bits):
         sums = g_pos.size - 2 * bits[:, g_pos].sum(axis=1, dtype=np.int64)
@@ -332,8 +330,7 @@ def edge_count_advantage_formula(h: Hypergraph, params: ModelParams) -> float:
     coordinates; agreement with the enumeration oracle is exercised in
     the test suite.
     """
-    if h.n != params.k or h.r != params.r:
-        raise ValidationError("template shape does not match params")
+    _check_shapes(h, params)
     n_free = binom(params.n, params.r) - binom(params.ell, params.r)
     if n_free == 0:
         raise DegenerateNullVariance("no free coordinates; null variance is zero")

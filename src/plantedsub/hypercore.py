@@ -219,9 +219,28 @@ class Hypergraph:
 
     @classmethod
     def from_present(cls, n: int, r: int, edges: Iterable[Sequence[int]]) -> "Hypergraph":
+        """Build from the present hyperedges, each r distinct integer
+        vertices of [0, n) in any order.  This is where hyperedge lists are
+        validated: ragged or wrong-length rows, non-integer or out-of-range
+        vertices, repeated vertices and repeated hyperedges are refused."""
+        rows = list(edges)
+        try:
+            arr = np.array(rows) if rows else np.empty((0, r), dtype=np.int64)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"hyperedges must be lists of r={r} vertices") from exc
+        if arr.ndim != 2 or arr.shape[1] != r:
+            raise ValidationError(f"hyperedges must be lists of r={r} vertices, got {rows[0]}")
+        if arr.dtype.kind not in "iu" or arr.size and (arr.min() < 0 or arr.max() >= n):
+            raise ValidationError(f"hyperedge vertices must be integers in [0, {n})")
+        arr = np.sort(arr.astype(np.int64), axis=1)
+        if (arr[:, 1:] == arr[:, :-1]).any():
+            raise ValidationError(f"a hyperedge repeats a vertex (r={r})")
+        ranks = np.sort(rank_rows(arr, n))
+        dup = ranks[1:][ranks[1:] == ranks[:-1]]
+        if dup.size:
+            raise ValidationError(f"duplicate hyperedge {list(unrank_subset(int(dup[0]), n, r))}")
         bits = np.zeros(binom(n, r), dtype=np.uint8)
-        for e in edges:
-            bits[rank_subset(sorted(e), n)] = 1
+        bits[ranks] = 1
         return cls.from_bits(n, r, bits)
 
     @classmethod
@@ -283,16 +302,10 @@ class Hypergraph:
     def from_json_dict(cls, obj: dict) -> "Hypergraph":
         try:
             n, r, present = int(obj["n"]), int(obj["r"]), obj["present"]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed hypergraph JSON: {exc}") from exc
-        seen = set()
-        for e in present:
-            key = tuple(sorted(e))
-            if key in seen:
-                raise ValidationError(f"duplicate hyperedge {e}")
-            seen.add(key)
-            if len(key) != r:
-                raise ValidationError(f"hyperedge {e} is not an r-subset (r={r})")
+        if not isinstance(present, list):
+            raise ValidationError("malformed hypergraph JSON: 'present' must be a list")
         return cls.from_present(n, r, present)
 
     @classmethod

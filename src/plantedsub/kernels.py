@@ -14,28 +14,6 @@ from .ensemble import covered_ranks
 _ONES = np.uint64(2 ** 64 - 1)
 
 
-def _plant_batch_np(bits, phis, h_subsets, h_bits, n):
-    rows = np.arange(bits.shape[0])
-    bits[rows[:, None], covered_ranks(phis, h_subsets, n)] = h_bits
-
-
-def _match_any_np(bits, cand_ranks, patterns):
-    # Bit-sliced: word row i holds column cols[i]'s bit for 64 trials per word.
-    trials = bits.shape[0]
-    cols, inverse = np.unique(cand_ranks, return_inverse=True)
-    inverse = inverse.reshape(cand_ranks.shape)
-    packed = np.packbits(bits[:, cols].T, axis=1)
-    words = np.zeros((cols.size, -(-trials // 64) * 8), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
-    words = words.view(np.uint64)
-    flip = np.where(np.asarray(patterns) == 1, np.uint64(0), _ONES)  # all ones where bit 0
-    match = words[inverse[:, 0]] ^ flip[0]
-    for j in range(1, inverse.shape[1]):
-        match &= words[inverse[:, j]] ^ flip[j]
-    hits = np.bitwise_or.reduce(match, axis=0)
-    return np.unpackbits(hits.view(np.uint8), count=trials)
-
-
 def plant_batch(bits: np.ndarray, phis: np.ndarray, h_subsets: np.ndarray,
                 h_bits: np.ndarray, n: int) -> None:
     """Overwrite, in place, each trial's covered coordinates with template bits.
@@ -48,7 +26,8 @@ def plant_batch(bits: np.ndarray, phis: np.ndarray, h_subsets: np.ndarray,
     """
     if h_subsets.shape[0] == 0:
         return
-    _plant_batch_np(bits, phis, h_subsets, h_bits, n)
+    rows = np.arange(bits.shape[0])
+    bits[rows[:, None], covered_ranks(phis, h_subsets, n)] = h_bits
 
 
 def match_any_batch(bits: np.ndarray, cand_ranks: np.ndarray,
@@ -65,4 +44,17 @@ def match_any_batch(bits: np.ndarray, cand_ranks: np.ndarray,
         return np.zeros(bits.shape[0], dtype=np.uint8)
     if cand_ranks.shape[1] == 0:
         return np.ones(bits.shape[0], dtype=np.uint8)
-    return _match_any_np(bits, cand_ranks, patterns)
+    # Bit-sliced: word row i holds column cols[i]'s bit for 64 trials per word.
+    trials = bits.shape[0]
+    cols, inverse = np.unique(cand_ranks, return_inverse=True)
+    inverse = inverse.reshape(cand_ranks.shape)
+    packed = np.packbits(bits[:, cols].T, axis=1)
+    words = np.zeros((cols.size, -(-trials // 64) * 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    words = words.view(np.uint64)
+    flip = np.where(np.asarray(patterns) == 1, np.uint64(0), _ONES)  # all ones where bit 0
+    match = words[inverse[:, 0]] ^ flip[0]
+    for j in range(1, inverse.shape[1]):
+        match &= words[inverse[:, j]] ^ flip[j]
+    hits = np.bitwise_or.reduce(match, axis=0)
+    return np.unpackbits(hits.view(np.uint8), count=trials)

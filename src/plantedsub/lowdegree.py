@@ -35,10 +35,11 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import NamedTuple
 
-from .ensemble import covered_ranks, injection_count, injection_table
+from .ensemble import covered_ranks, injection_table
 from .errors import GuardExceeded, ValidationError
 from .hypercore import Hypergraph, binom, rank_subset, subset_table, unrank_subset
-from .models import EMBEDDING_GUARD, ModelParams
+# EMBEDDING_GUARD is re-exported as the guard both LR paths enforce.
+from .models import EMBEDDING_GUARD, ModelParams, _check_shapes, _embedding_count  # noqa: F401
 
 LR_WORK_GUARD = 40_000_000
 NVD_COORD_GUARD = 24
@@ -77,12 +78,9 @@ def fourier_coefficient(h: Hypergraph, params: ModelParams, alpha, rational: boo
     single alpha.  An embedding contributes the product of template spins
     when it covers every member hyperedge, and zero otherwise.
     """
-    if h.n != params.k or h.r != params.r:
-        raise ValidationError("template shape does not match params")
+    _check_shapes(h, params)
     idx = validate_fourier_index(alpha, params.n, params.r, params.L)
-    n_emb = injection_count(params.n, params.k, params.ell)
-    if n_emb > EMBEDDING_GUARD:
-        raise GuardExceeded(f"{n_emb} embeddings exceed the guard {EMBEDDING_GUARD}")
+    n_emb = _embedding_count(params)
     edges = [unrank_subset(a, params.n, params.r) for a in sorted(idx)]
     acc = 0
     for targets in injection_table(params.n, params.k, params.L).tolist():
@@ -132,8 +130,7 @@ def lr_squared_exact(h: Hypergraph, params: ModelParams, degree: int | None = No
     A per-character reference path is kept in
     :func:`fourier_coefficient` for cross-checking.
     """
-    if h.n != params.k or h.r != params.r:
-        raise ValidationError("template shape does not match params")
+    _check_shapes(h, params)
     m = binom(params.n, params.r)
     d_max = m - binom(params.ell, params.r)
     if degree is None:
@@ -144,9 +141,7 @@ def lr_squared_exact(h: Hypergraph, params: ModelParams, degree: int | None = No
         raise ValidationError("degree must be >= 1")
 
     leaked = set(params.L)
-    n_emb = injection_count(params.n, params.k, params.ell)
-    if n_emb > EMBEDDING_GUARD:
-        raise GuardExceeded(f"{n_emb} embeddings exceed the guard {EMBEDDING_GUARD}")
+    n_emb = _embedding_count(params)
 
     k_subsets = subset_table(params.k, params.r)
     keep = [j for j in range(k_subsets.shape[0])

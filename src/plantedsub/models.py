@@ -138,19 +138,36 @@ def _host_coords(params: ModelParams) -> int:
     return m
 
 
-def sample_planted(h: Hypergraph, params: ModelParams, rng: np.random.Generator) -> Hypergraph:
-    """One planted draw: embed the template, fill the rest with fair coins.
+def _embedding_count(params: ModelParams) -> int:
+    """Number of constrained embeddings, refused past ``EMBEDDING_GUARD``."""
+    n_emb = injection_count(params.n, params.k, params.ell)
+    if n_emb > EMBEDDING_GUARD:
+        raise GuardExceeded(f"{n_emb} embeddings exceed the guard {EMBEDDING_GUARD}")
+    return n_emb
+
+
+def plant(h: Hypergraph, params: ModelParams,
+          rng: np.random.Generator) -> tuple[Hypergraph, Embedding]:
+    """The planting step: hide the template in a fair-coin host; returns
+    the host and the embedding.
 
     Draw order: the embedding first, then all C(n, r) base coordinates in
     rank order (covered ones are then overwritten), so a fixed rng state
-    yields a fixed output.
+    yields a fixed output.  :func:`sample_planted`, the PSM setup and the
+    secret-sharing dealer all plant through here.
     """
     _check_shapes(h, params)
     emb = sample_embedding(params, rng)
     bits = rng.integers(0, 2, size=_host_coords(params), dtype=np.uint8)
     targets = np.array([emb.targets], dtype=np.int64)
     bits[covered_ranks(targets, subset_table(params.k, params.r), params.n)[0]] = h.bits
-    return Hypergraph.from_bits(params.n, params.r, bits)
+    return Hypergraph.from_bits(params.n, params.r, bits), emb
+
+
+def sample_planted(h: Hypergraph, params: ModelParams, rng: np.random.Generator) -> Hypergraph:
+    """One planted draw: embed the template, fill the rest with fair coins
+    (:func:`plant`'s host)."""
+    return plant(h, params, rng)[0]
 
 
 def _leaked_internal(h: Hypergraph, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -284,9 +301,7 @@ def exact_pmf(h: Hypergraph, params: ModelParams, which: str, rational: bool = T
         covered, bits = _leaked_internal(h, params)
         covered = covered[None, :]
     else:
-        n_emb = injection_count(params.n, params.k, params.ell)
-        if n_emb > EMBEDDING_GUARD:
-            raise GuardExceeded(f"{n_emb} embeddings exceed the guard {EMBEDDING_GUARD}")
+        n_emb = _embedding_count(params)
         n_free = m - binom(params.k, params.r)
         if n_emb << n_free > STATE_GUARD:
             raise GuardExceeded(

@@ -24,15 +24,16 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .ensemble import (CountMass, KeyLayout, count_states, covered_ranks, injection_count,
                        injection_table, patterns)
 from .errors import GuardExceeded, ValidationError
-from .hypercore import (Embedding, Hypergraph, binom, bit_to_spin, rank_subset,
+from .hypercore import (Embedding, Hypergraph, binom, bit_to_spin, rank_rows, rank_subset,
                         relabel, spin_to_bit, subset_table)
-from .models import ModelParams, sample_embedding
+from .models import ModelParams, plant
 
 PSM_STATE_GUARD = 5_000_000
 
@@ -108,13 +109,23 @@ def cross_set(inputs, k: int) -> tuple[int, ...]:
     return tuple(part_vertex(x, i, k) for i, x in enumerate(inputs))
 
 
+@lru_cache(maxsize=None)
+def _cross(k: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (k^r, r) cross hyperedges in table order, and their ranks among
+    the r-subsets of the r*k template vertices."""
+    table = np.array(list(itertools.product(range(k), repeat=r))) + k * np.arange(r)
+    ranks = rank_rows(table, r * k)
+    table.setflags(write=False)
+    ranks.setflags(write=False)
+    return table, ranks
+
+
 def embed_function(f: FunctionTable, rng) -> Hypergraph:
     """Template on r*k vertices: cross hyperedges carry the table, all other
     coordinates are independent coins."""
     n_v = f.r * f.k
     bits = rng.integers(0, 2, size=binom(n_v, f.r), dtype=np.uint8)
-    for inputs in itertools.product(range(f.k), repeat=f.r):
-        bits[rank_subset(cross_set(inputs, f.k), n_v)] = f.bit(inputs)
+    bits[_cross(f.k, f.r)[1]] = f.bits
     return Hypergraph.from_bits(n_v, f.r, bits)
 
 
@@ -123,11 +134,7 @@ def template_to_table(h: Hypergraph, k: int) -> FunctionTable:
     r = h.r
     if h.n != r * k:
         raise ValidationError(f"template has {h.n} vertices, expected r*k = {r * k}")
-    spins = [
-        h.spin(rank_subset(cross_set(inputs, k), h.n))
-        for inputs in itertools.product(range(k), repeat=r)
-    ]
-    return FunctionTable(k, r, tuple(spins))
+    return FunctionTable(k, r, tuple(h.spins[_cross(k, r)[1]].tolist()))
 
 
 @dataclass(frozen=True)
@@ -142,9 +149,10 @@ class PsmInstance:
     def __post_init__(self):
         if template_to_table(self.fbar, self.f.k) != self.f:
             raise ValidationError("template cross hyperedges disagree with the table")
-        for j, sub in enumerate(subset_table(self.fbar.n, self.fbar.r)):
-            if self.g.bit(rank_subset(self.phi.apply(sub), self.g.n)) != self.fbar.bit(j):
-                raise ValidationError("host does not agree with the template under phi")
+        covered = covered_ranks(np.array([self.phi.targets]),
+                                subset_table(self.fbar.n, self.fbar.r), self.g.n)[0]
+        if self.g.r != self.fbar.r or (self.g.bits[covered] != self.fbar.bits).any():
+            raise ValidationError("host does not agree with the template under phi")
 
     def to_json_dict(self, public_only: bool = False) -> dict:
         out = {"f": self.f.to_json_dict(), "g": self.g.to_json_dict()}
@@ -171,13 +179,8 @@ def psm_setup(f: FunctionTable, n: int, rng) -> PsmInstance:
     n_v = f.r * f.k
     _check_host(n, n_v)
     fbar = embed_function(f, rng)
-    params = ModelParams(n=n, k=n_v, r=f.r)
-    emb = sample_embedding(params, rng)
-    bits = rng.integers(0, 2, size=binom(n, f.r), dtype=np.uint8)
-    fbar_bits = fbar.bits
-    for j, sub in enumerate(subset_table(n_v, f.r)):
-        bits[rank_subset(emb.apply(sub), n)] = fbar_bits[j]
-    return PsmInstance(f=f, fbar=fbar, g=Hypergraph.from_bits(n, f.r, bits), phi=emb)
+    g, phi = plant(fbar, ModelParams(n=n, k=n_v, r=f.r), rng)
+    return PsmInstance(f=f, fbar=fbar, g=g, phi=phi)
 
 
 def psm_message(inst: PsmInstance, party: int, x: int) -> int:
@@ -365,8 +368,7 @@ def _transcripts(tables, selector, n: int, simulated: bool, with_table: bool) ->
     else:
         _check_host(n, r * k)
         maps = injection_table(n, r * k, ())
-        cross = [cross_set(xs, k) for xs in itertools.product(range(k), repeat=r)]
-        forced = covered_ranks(maps, np.array(cross), n)
+        forced = covered_ranks(maps, _cross(k, r)[0], n)
     atoms = _atoms(tables, selector)
     rows = maps.shape[0] * sum(w for dist in atoms for _, w in dist)
     _guard_states(rows << (layout.m - forced.shape[1]))

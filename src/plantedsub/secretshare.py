@@ -31,9 +31,9 @@ import numpy as np
 from .ensemble import (CountMass, KeyLayout, check_key_width, count_states, covered_ranks,
                        injection_count, injection_table, patterns)
 from .errors import GuardExceeded, ValidationError
-from .hypercore import (Hypergraph, binom, encode_label, label_bit_width,
+from .hypercore import (Hypergraph, binom, encode_label, label_bit_width, rank_rows,
                         rank_subset, subset_table)
-from .models import ModelParams, sample_H, sample_embedding
+from .models import ModelParams, plant, sample_H
 
 CSIRMAZ_GROUND_GUARD = 12
 SECRECY_STATE_GUARD = 40_000_000
@@ -154,8 +154,12 @@ class ShareBundle:
             raise ValidationError(f"malformed share bundle JSON: {exc}") from exc
 
 
-def _r_ranks(access: AccessStructure) -> list[int]:
-    return sorted(rank_subset(sorted(a), access.k) for a in access.sets)
+def _r_ranks(access: AccessStructure) -> np.ndarray:
+    """Sorted template ranks of the qualifying sets, which must all have size r."""
+    if not access.uniform:
+        raise ValidationError("qualifying sets must all have size r; lift the structure first")
+    rows = np.array([sorted(a) for a in access.sets], dtype=np.int64).reshape(-1, access.r)
+    return np.sort(rank_rows(rows, access.k))
 
 
 def deal(access: AccessStructure, s: int, n: int, rng) -> ShareBundle:
@@ -168,30 +172,17 @@ def deal(access: AccessStructure, s: int, n: int, rng) -> ShareBundle:
     """
     if s not in (0, 1):
         raise ValidationError("secret must be the bit 0 or 1")
-    if not access.uniform:
-        raise ValidationError("qualifying sets must all have size r; lift the structure first")
-    if n < access.k:
-        raise ValidationError(f"host size n={n} must be at least k={access.k}")
-    k, r = access.k, access.r
-    h = sample_H(k, r, rng)
-    emb = sample_embedding(ModelParams(n=n, k=k, r=r), rng)
-    g_bits = rng.integers(0, 2, size=binom(n, r), dtype=np.uint8)
-    h_bits = h.bits
-    for j, f in enumerate(subset_table(k, r)):
-        g_bits[rank_subset(emb.apply(f), n)] = h_bits[j]
-    in_r = set(_r_ranks(access))
-    hs_bits = np.empty(binom(k, r), dtype=np.uint8)
-    for j in range(hs_bits.size):
-        if j in in_r:
-            hs_bits[j] = h_bits[j] ^ s
-        else:
-            hs_bits[j] = rng.integers(0, 2)
-    return ShareBundle(
-        access=access,
-        h_s=Hypergraph.from_bits(k, r, hs_bits),
-        g=Hypergraph.from_bits(n, r, g_bits),
-        shares=emb.targets,
-    )
+    r_ranks = _r_ranks(access)
+    _check_host(n, access.k)
+    h = sample_H(access.k, access.r, rng)
+    g, emb = plant(h, ModelParams(n=n, k=access.k, r=access.r), rng)
+    hs_bits = h.bits ^ np.uint8(s)
+    coins = np.ones(hs_bits.size, dtype=bool)
+    coins[r_ranks] = False
+    # one int64 draw per published coin, in rank order
+    hs_bits[coins] = rng.integers(0, 2, size=int(coins.sum()))
+    return ShareBundle(access=access, h_s=Hypergraph.from_bits(access.k, access.r, hs_bits),
+                       g=g, shares=emb.targets)
 
 
 def reconstruct(h_s: Hypergraph, g: Hypergraph, parties, shares, access: AccessStructure) -> int:
@@ -239,8 +230,7 @@ def mask_template(h: Hypergraph, s: int, access: AccessStructure) -> Hypergraph:
     if s == 0:
         return h
     bits = h.bits.copy()
-    for j in _r_ranks(access):
-        bits[j] ^= 1
+    bits[_r_ranks(access)] ^= 1
     return Hypergraph.from_bits(h.n, h.r, bits)
 
 
@@ -346,12 +336,10 @@ def deal_ensemble_pmf(access: AccessStructure, s: int, n: int, leaked, *,
     forces the qualifying ones to the template bit XOR the secret (and,
     tied, the rest to the template bit); fresh coins stay free.
     """
-    if not access.uniform:
-        raise ValidationError("qualifying sets must all have size r; lift the structure first")
+    r_ranks = _r_ranks(access)
     group = sorted(leaked)
     templates, covered, targets = _planted_rows(access, n, group if fix_leaked else ())
     layout = _view_layout(access, n, group)
-    r_ranks = np.array(_r_ranks(access), dtype=np.int64)
     published = templates.copy()
     published[:, r_ranks] ^= s
     shown = np.arange(layout.side) if tie_public else r_ranks
@@ -371,14 +359,12 @@ def secrecy_tv(access: AccessStructure, leaked, n: int) -> Fraction:
     unchanged.  Each secret's views are counted as one integer-count
     ensemble, and the distance is exact on those counts.
     """
-    if not access.uniform:
-        raise ValidationError("qualifying sets must all have size r; lift the structure first")
+    r_ranks = _r_ranks(access)
     group = sorted(int(p) for p in leaked)
     if any(p < 0 or p >= access.k for p in group) or len(set(group)) != len(group):
         raise ValidationError(f"leaked coalition {group} out of party range")
     k, r = access.k, access.r
     _check_host(n, k)
-    r_ranks = _r_ranks(access)
     layout = KeyLayout(binom(n, r), len(r_ranks), len(group), n)
     check_key_width(layout.width)
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from plantedsub import cli
+from plantedsub import cli, models
 from plantedsub.hypercore import Hypergraph
 from plantedsub.lowdegree import lr_squared_exact
 from plantedsub.models import ModelParams, sample_H, trial_rng
@@ -270,3 +270,36 @@ def test_small_hosts_fail_with_json(capsys, tmp_path):
     error = json.loads(out)["error"]
     assert code == 2 and error["type"] == "ValidationError"
     assert error["message"] == "host size n=2 must be at least k=3"
+
+
+def test_malformed_template_json_exits_2(capsys, tmp_path, params_file):
+    for present in ([["a", 1]], [[0.5, 1]], {"0": 1}, [[0, 1], [2]]):
+        h_file = write(tmp_path, "h.json", {"n": 3, "r": 2, "present": present})
+        code, out = run_cli(capsys, "lr", "exact", "--H", h_file, "--params", params_file)
+        assert code == 2 and json.loads(out)["error"]["type"] == "ValidationError"
+
+
+def test_deal_and_setup_refuse_oversized_host(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(models, "SAMPLE_COORD_GUARD", 1000)
+    acc = write(tmp_path, "r.json", {"k": 3, "r": 2, "R": [[0, 1]], "l": 2})
+    table = write(tmp_path, "f.json", {"k": 2, "r": 2, "bits": [0, 1, 1, 0]})
+    for argv in (("ss", "deal", "--R", acc, "--s", "1"), ("psm", "setup", "--F", table)):
+        code, out = run_cli(capsys, *argv, "--n", "50")
+        error = json.loads(out)["error"]
+        assert code == 3 and error["type"] == "GuardExceeded"
+        assert "C(50, 2) = 1225" in error["message"]
+        assert run_cli(capsys, *argv, "--n", "45")[0] == 0  # C(45, 2) = 990
+
+
+def test_parser_errors_print_json(capsys, params_file):
+    for argv in (("lr", "exact", "--params", params_file),
+                 ("distinguish", "--stat", "edgecount", "--params", params_file,
+                  "--trials", "x"),
+                 ("sample", "--model", "planted", "--params", params_file, "--bogus")):
+        code, out = run_cli(capsys, *argv)
+        error = json.loads(out)["error"]
+        assert code == 2 and error["type"] == "ValidationError"
+    assert "--H" in json.loads(run_cli(capsys, "lr", "exact")[1])["error"]["message"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lr", "exact", "--help"])
+    assert exc.value.code == 0 and "--H" in capsys.readouterr().out

@@ -152,6 +152,14 @@ def test_json_validation():
         Hypergraph.from_json_dict({"n": 4, "r": 2, "present": [[0, 1, 2]]})
     with pytest.raises(ValidationError):
         Hypergraph.from_json_dict({"n": 4, "r": 2})
+    for present in ([["a", 1]], [[0.5, 1]], [[0, None]], 5, "01", {"0": 1}, None,
+                    [[0, 1], [2]], [[0, 1], [1, 2, 3]], [0, 1]):
+        with pytest.raises(ValidationError):
+            Hypergraph.from_json_dict({"n": 4, "r": 2, "present": present})
+    assert Hypergraph.from_json_dict({"n": 4, "r": 2, "present": []}).num_present == 0
+    assert Hypergraph.from_json_dict({"n": 4, "r": 2, "present": [[3, 1], [2, 0]]}) == \
+        Hypergraph.from_present(4, 2, [[0, 2], [1, 3]])
+    assert Hypergraph.from_json_dict({"n": 2, "r": 3, "present": []}).num_coords == 0
 
 
 def test_mask_and_bit_views():

@@ -19,7 +19,7 @@ def test_plant_batch_backends_agree(n, k, r):
     subsets = np.asarray(subset_table(k, r))
 
     out_np = base.copy()
-    kernels._plant_batch_np(out_np, phis, subsets, h.bits, n)
+    kernels.plant_batch(out_np, phis, subsets, h.bits, n)
 
     # every covered coordinate carries the template bit
     from plantedsub.hypercore import rank_subset
@@ -35,7 +35,7 @@ def test_match_any_backends_agree():
     bits = rng.integers(0, 2, size=(500, 28), dtype=np.uint8)
     cand = rng.integers(0, 28, size=(9, 4)).astype(np.int64)
     patterns = rng.integers(0, 2, size=4, dtype=np.uint8)
-    ref = kernels._match_any_np(bits, cand, patterns)
+    ref = kernels.match_any_batch(bits, cand, patterns)
     # oracle: direct per-row scan
     for t in range(50):
         expect = any(all(bits[t, cand[v, p]] == patterns[p] for p in range(4))
