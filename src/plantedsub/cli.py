@@ -16,7 +16,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import distinguishers, lowdegree, psm, secretshare
@@ -371,13 +370,13 @@ def _point_seed(seed: int, point: dict) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def run_experiment(config: dict, threads: int = 1) -> dict:
+def run_experiment(config: dict) -> dict:
     """Execute a parameter grid, one JSONL record per (point, metric).
 
     Existing records under the same config hash are skipped, so an
-    interrupted run resumes.  Records land in point order regardless of
-    which worker finishes first; wall time is recorded but not part of
-    the determinism contract.
+    interrupted run resumes.  Points run in order and records land in
+    point order; wall time is recorded but not part of the determinism
+    contract.
     """
     for field in ("name", "operation", "grid", "output"):
         if field not in config:
@@ -400,36 +399,22 @@ def run_experiment(config: dict, threads: int = 1) -> dict:
     except FileNotFoundError:
         pass
 
-    def work(point: dict):
-        start = time.monotonic()
-        metrics = op(point, _point_seed(seed, point))
-        elapsed = time.monotonic() - start
-        out = []
-        for metric, value, stderr, mode in metrics:
-            if (_dump(point), metric) in done:
-                continue
-            out.append({
-                "config": digest, "point": point, "metric": metric,
-                "value": value, "stderr": stderr, "mode": mode,
-                "walltime": round(elapsed, 6),
-            })
-        return out
-
     todo = [p for p in points
             if any((_dump(p), m) not in done for m in metric_names)]
-    if threads > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, todo))
-    else:
-        results = [work(p) for p in todo]
+    records = []
+    for point in todo:
+        start = time.monotonic()
+        metrics = op(point, _point_seed(seed, point))
+        elapsed = round(time.monotonic() - start, 6)
+        records += [{"config": digest, "point": point, "metric": metric, "value": value,
+                     "stderr": stderr, "mode": mode, "walltime": elapsed}
+                    for metric, value, stderr, mode in metrics
+                    if (_dump(point), metric) not in done]
 
-    written = 0
     with open(config["output"], "a") as fh:
-        for recs in results:
-            for rec in recs:
-                fh.write(_dump(rec) + "\n")
-                written += 1
-    return {"config": digest, "points": len(points), "written": written,
+        for rec in records:
+            fh.write(_dump(rec) + "\n")
+    return {"config": digest, "points": len(points), "written": len(records),
             "skipped": len(points) - len(todo), "output": config["output"]}
 
 
@@ -464,7 +449,7 @@ def emit_table(results_path: str, x: str, y: str) -> str:
 
 def _cmd_experiment_run(args) -> int:
     config = _load_json(args.config)
-    summary = run_experiment(config, threads=args.threads)
+    summary = run_experiment(config)
     _emit(_dump(summary), args.out)
     return 0
 
@@ -486,7 +471,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override the RNG seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker pool size")
     parser.add_argument("--out", default=None, help="also write output to this path")
 
 

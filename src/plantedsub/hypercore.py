@@ -25,6 +25,9 @@ import numpy as np
 
 from .errors import GuardExceeded, ValidationError
 
+# The most coordinates a hypergraph may have: it is one bit vector of them.
+SAMPLE_COORD_GUARD = 100_000_000
+
 
 def binom(a: int, b: int) -> int:
     """C(a, b) as an exact big integer; 0 when b > a."""
@@ -165,13 +168,27 @@ def rank_rows(rows: np.ndarray, n: int) -> np.ndarray:
     return ranks
 
 
+def _coords(n: int, r: int) -> int:
+    """C(n, r) for r >= 2, n >= 0 and at most ``SAMPLE_COORD_GUARD`` coordinates."""
+    if r < 2:
+        raise ValidationError(f"uniformity r must be >= 2, got {r}")
+    if n < 0:
+        raise ValidationError(f"vertex count must be >= 0, got {n}")
+    m = binom(n, r)
+    if m > SAMPLE_COORD_GUARD:
+        raise GuardExceeded(f"C(n, r) = C({n}, {r}) = {m} coordinates "
+                            f"exceed the guard {SAMPLE_COORD_GUARD}")
+    return m
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Immutable r-uniform hypergraph on n vertices.
 
     The adjacency map is stored as packed bits (little-endian bit order),
     one bit per r-subset in lexicographic rank order.  Bit 1 means the
-    hyperedge is present (spin -1).
+    hyperedge is present (spin -1).  More than ``SAMPLE_COORD_GUARD``
+    coordinates are refused.
     """
 
     n: int
@@ -179,11 +196,7 @@ class Hypergraph:
     packed: bytes
 
     def __post_init__(self):
-        if self.r < 2:
-            raise ValidationError(f"uniformity r must be >= 2, got {self.r}")
-        if self.n < 0:
-            raise ValidationError(f"vertex count must be >= 0, got {self.n}")
-        m = binom(self.n, self.r)
+        m = _coords(self.n, self.r)
         if len(self.packed) != (m + 7) // 8:
             raise ValidationError(
                 f"packed length {len(self.packed)} does not match C({self.n},{self.r})={m}"
@@ -223,6 +236,7 @@ class Hypergraph:
         vertices of [0, n) in any order.  This is where hyperedge lists are
         validated: ragged or wrong-length rows, non-integer or out-of-range
         vertices, repeated vertices and repeated hyperedges are refused."""
+        m = _coords(n, r)
         rows = list(edges)
         try:
             arr = np.array(rows) if rows else np.empty((0, r), dtype=np.int64)
@@ -239,7 +253,7 @@ class Hypergraph:
         dup = ranks[1:][ranks[1:] == ranks[:-1]]
         if dup.size:
             raise ValidationError(f"duplicate hyperedge {list(unrank_subset(int(dup[0]), n, r))}")
-        bits = np.zeros(binom(n, r), dtype=np.uint8)
+        bits = np.zeros(m, dtype=np.uint8)
         bits[ranks] = 1
         return cls.from_bits(n, r, bits)
 

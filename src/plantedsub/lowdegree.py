@@ -11,6 +11,15 @@ expectation of the product of spins over alpha.  Coordinates not
 covered by the hidden embedding integrate to zero, so coef(alpha) is an
 average over embeddings covering every member of alpha.
 
+Squaring that average pairs two embeddings (the second moment of
+Kunisky, Wein and Bandeira, arXiv:1907.11636), and the degree-j
+characters on the non-leaked-internal coordinates both cover sum to
+[x^j] (1 + x)^a (1 - x)^b, where a (b) counts those coordinates whose
+template spins agree (differ).  Relabelling host vertices outside L
+carries any embedding to any other, so one phi0 stands for all N:
+
+    LR_D^2 = (1/N) sum_{phi'} sum_{j=1..D} [x^j] (1 + x)^a (1 - x)^b.
+
 Grouping characters by v = |V(alpha) \\ L|, the count N(v, D) of
 characters with exactly v vertices outside the leaked set controls the
 averaged squared ratio through
@@ -35,9 +44,11 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import NamedTuple
 
-from .ensemble import covered_ranks, injection_table
+import numpy as np
+
+from .ensemble import injection_table
 from .errors import GuardExceeded, ValidationError
-from .hypercore import Hypergraph, binom, rank_subset, subset_table, unrank_subset
+from .hypercore import Hypergraph, binom, rank_lut, rank_subset, subset_table, unrank_subset
 # EMBEDDING_GUARD is re-exported as the guard both LR paths enforce.
 from .models import EMBEDDING_GUARD, ModelParams, _check_shapes, _embedding_count  # noqa: F401
 
@@ -106,7 +117,6 @@ class LrReport:
 
     degree: int
     cumulative: list
-    coefficients: dict
     n_embeddings: int
     mode: str
 
@@ -120,69 +130,61 @@ class LrReport:
         return self.cumulative[min(d, self.degree) - 1]
 
 
+def _pair_term(a: int, b: int, depth: int) -> list[int]:
+    """[x^j] (1 + x)^a (1 - x)^b for j = 1..depth."""
+    return [sum((-1) ** i * binom(b, i) * binom(a, j - i) for i in range(j + 1))
+            for j in range(1, depth + 1)]
+
+
 def lr_squared_exact(h: Hypergraph, params: ModelParams, degree: int | None = None,
                      rational: bool = True) -> LrReport:
-    """Exact squared degree-D advantage via a single pass over embeddings.
+    """Exact squared degree-D advantage from one pair-of-embeddings overlap
+    histogram, by the identity in the module docstring.
 
-    For each embedding, every subset (up to the degree cap) of its
-    covered, non-leaked-internal coordinates contributes the product of
-    the matching template spins to that character's running integer sum.
-    A per-character reference path is kept in
-    :func:`fourier_coefficient` for cross-checking.
+    Relabelling host vertices outside L carries any embedding to any
+    other, so phi0, the identity on [0, k) (row 0 of the injection
+    table), stands for the first of every pair; phi' shares a coordinate
+    with it exactly when its image lies inside [0, k).  The degree is
+    capped at C(n, r) - C(l, r), the most hyperedges a character can
+    have.  :func:`fourier_coefficient` is the per-character reference.
     """
     _check_shapes(h, params)
-    m = binom(params.n, params.r)
-    d_max = m - binom(params.ell, params.r)
-    if degree is None:
-        # a fully-leaked coordinate space has no characters; keep one
-        # (empty) degree slot so the report still carries a zero total
-        degree = max(d_max, 1)
-    if degree < 1:
+    # a fully-leaked coordinate space has no characters; keep one (empty)
+    # degree slot so the report still carries a zero total
+    d_max = max(binom(params.n, params.r) - binom(params.ell, params.r), 1)
+    if degree is not None and degree < 1:
         raise ValidationError("degree must be >= 1")
+    degree = d_max if degree is None else min(degree, d_max)
 
-    leaked = set(params.L)
     n_emb = _embedding_count(params)
-
     k_subsets = subset_table(params.k, params.r)
-    keep = [j for j in range(k_subsets.shape[0])
-            if not set(int(v) for v in k_subsets[j]) <= leaked]
-    h_spins = [int(s) for s in h.spins]
-    depth = min(degree, len(keep))
-    work = n_emb * sum(binom(len(keep), j) for j in range(1, depth + 1))
+    keep = np.flatnonzero(~np.isin(k_subsets, params.L).all(axis=1))
+    work = n_emb * keep.size
     if work > LR_WORK_GUARD:
-        raise GuardExceeded(f"{work} character terms exceed the guard {LR_WORK_GUARD}")
+        raise GuardExceeded(f"{work} overlap entries exceed the guard {LR_WORK_GUARD}")
 
     targets = injection_table(params.n, params.k, params.L)
-    ranks = covered_ranks(targets, subset_table(params.k, params.r), params.n)[:, keep].tolist()
-    spins = [h_spins[j] for j in keep]
-    acc: dict[frozenset[int], int] = {}
-    for row in ranks:
-        cov = list(zip(row, spins))
-        for size in range(1, depth + 1):
-            for combo in itertools.combinations(cov, size):
-                prod = 1
-                key = []
-                for rank, spin in combo:
-                    prod *= spin
-                    key.append(rank)
-                fkey = frozenset(key)
-                acc[fkey] = acc.get(fkey, 0) + prod
+    spins = h.spins
+    lut = rank_lut(params.k, params.r)
+    agree = np.zeros(n_emb, dtype=np.int64)
+    differ = np.zeros(n_emb, dtype=np.int64)
+    for j in keep.tolist():
+        image = targets[:, k_subsets[j]]
+        rows = np.flatnonzero((image < params.k).all(axis=1))
+        same = spins[lut[tuple(image[rows].T)]] == spins[j]
+        agree[rows] += same
+        differ[rows] += ~same
 
-    sumsq_by_degree = [0] * max(degree, 1)
-    for key, s in acc.items():
-        sumsq_by_degree[len(key) - 1] += s * s
-    denom = n_emb * n_emb
-    cumulative = []
-    running = 0
-    for d in range(1, degree + 1):
-        running += sumsq_by_degree[d - 1]
-        cumulative.append(Fraction(running, denom) if rational else running / denom)
-    coefficients = {
-        key: (Fraction(s, n_emb) if rational else s / n_emb)
-        for key, s in acc.items() if s
-    }
-    return LrReport(degree=degree, cumulative=cumulative, coefficients=coefficients,
-                    n_embeddings=n_emb, mode="rational" if rational else "float")
+    depth = min(degree, keep.size)
+    sums = [0] * degree
+    pairs, mult = np.unique(np.stack([agree, differ], axis=1), axis=0, return_counts=True)
+    for (a, b), c in zip(pairs.tolist(), mult.tolist()):
+        for j, term in enumerate(_pair_term(a, b, depth)):
+            sums[j] += c * term
+    cumulative = [Fraction(s, n_emb) if rational else s / n_emb
+                  for s in itertools.accumulate(sums)]
+    return LrReport(degree=degree, cumulative=cumulative, n_embeddings=n_emb,
+                    mode="rational" if rational else "float")
 
 
 class NvdCount(NamedTuple):

@@ -30,12 +30,11 @@ from . import kernels
 from .ensemble import (CountMass, Ensemble, count_states, covered_ranks,
                        injection_count, injection_table)
 from .errors import GuardExceeded, ValidationError
-from .hypercore import Embedding, Hypergraph, binom, subset_table
+from .hypercore import SAMPLE_COORD_GUARD, Embedding, Hypergraph, binom, subset_table
 
 PMF_COORD_GUARD = 20
 EMBEDDING_GUARD = 10_000_000
 STATE_GUARD = 30_000_000
-SAMPLE_COORD_GUARD = 100_000_000
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from plantedsub import cli, models
+from plantedsub import cli, lowdegree, models
 from plantedsub.hypercore import Hypergraph
 from plantedsub.lowdegree import lr_squared_exact
 from plantedsub.models import ModelParams, sample_H, trial_rng
@@ -303,3 +303,45 @@ def test_parser_errors_print_json(capsys, params_file):
     with pytest.raises(SystemExit) as exc:
         cli.main(["lr", "exact", "--help"])
     assert exc.value.code == 0 and "--H" in capsys.readouterr().out
+
+
+def test_hypergraph_json_with_negative_n_exits_2(capsys, tmp_path, params_file):
+    h_file = write(tmp_path, "h.json", {"n": -1, "r": 2, "present": []})
+    code, out = run_cli(capsys, "lr", "exact", "--H", h_file, "--params", params_file)
+    error = json.loads(out)["error"]
+    assert code == 2 and error["type"] == "ValidationError"
+    assert error["message"] == "vertex count must be >= 0, got -1"
+
+
+def test_hypergraph_json_past_the_coordinate_guard_exits_3(capsys, tmp_path, params_file):
+    h_file = write(tmp_path, "h.json", {"n": 1000000, "r": 3, "present": []})
+    code, out = run_cli(capsys, "lr", "exact", "--H", h_file, "--params", params_file)
+    error = json.loads(out)["error"]
+    assert code == 3 and error["type"] == "GuardExceeded"
+    assert f"C(1000000, 3) = {math.comb(1000000, 3)}" in error["message"]
+
+
+def test_lr_exact_caps_degree(capsys, tmp_path, params_file):
+    h_file = write(tmp_path, "h.json", sample_H(3, 2, trial_rng(7, 0)).to_json_dict())
+    argv = ("lr", "exact", "--H", h_file, "--params", params_file, "--rational")
+    code, capped = run_cli(capsys, *argv, "--degree", "5")  # C(4, 2) - C(1, 2) = 6
+    assert code == 0 and len(json.loads(capped)["cumulative"]) == 5
+    code, full = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(full)["degree"] == 6
+    for degree in ("10000000000", "7", "6"):
+        assert run_cli(capsys, *argv, "--degree", degree) == (0, full)
+    assert run_cli(capsys, *argv, "--degree", "0")[0] == 2
+
+
+def test_lr_exact_work_guard_exits_3_before_enumerating(capsys, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the injection table was built before the guard check")
+
+    monkeypatch.setattr(lowdegree, "injection_table", refuse)
+    params = write(tmp_path, "p.json", {"n": 12, "k": 7, "r": 2})
+    h_file = write(tmp_path, "h.json", sample_H(7, 2, trial_rng(8, 0)).to_json_dict())
+    code, out = run_cli(capsys, "lr", "exact", "--H", h_file, "--params", params,
+                        "--degree", "1")
+    error = json.loads(out)["error"]
+    assert code == 3 and error["type"] == "GuardExceeded"
+    assert "83825280 overlap entries" in error["message"]

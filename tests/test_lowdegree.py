@@ -3,15 +3,75 @@ from fractions import Fraction
 
 import pytest
 
+from plantedsub.ensemble import covered_ranks, injection_table
 from plantedsub.errors import GuardExceeded, ValidationError
-from plantedsub.hypercore import Hypergraph, binom, relabel, unrank_subset
+from plantedsub.hypercore import Hypergraph, binom, relabel, subset_table, unrank_subset
 from plantedsub.lowdegree import (BoundInputs, combinatorial_bound,
                                   corollary_bound, count_nvd,
                                   count_nvd_bound, count_nvd_exact_table,
                                   fourier_coefficient, index_vertices,
                                   lr_squared_exact, moment_exact,
                                   theorem_bound, validate_fourier_index)
-from plantedsub.models import ModelParams, chi_square, exact_pmf, make_rng, sample_H
+from plantedsub.models import (ModelParams, _check_shapes, _embedding_count, chi_square,
+                               exact_pmf, make_rng, sample_H)
+
+
+def reference_lr_squared(h, params, degree=None, rational=True):
+    """The per-subset enumerator: every subset (up to the degree cap) of
+    each embedding's covered, non-leaked-internal coordinates adds the
+    product of its template spins to that character's integer sum.
+
+    Returns ``(cumulative, coefficients)``; ``coefficients`` maps each
+    character (a frozenset of host ranks) with a nonzero coefficient to
+    that coefficient.
+    """
+    _check_shapes(h, params)
+    m = binom(params.n, params.r)
+    d_max = m - binom(params.ell, params.r)
+    if degree is None:
+        degree = max(d_max, 1)
+    if degree < 1:
+        raise ValidationError("degree must be >= 1")
+
+    leaked = set(params.L)
+    n_emb = _embedding_count(params)
+
+    k_subsets = subset_table(params.k, params.r)
+    keep = [j for j in range(k_subsets.shape[0])
+            if not set(int(v) for v in k_subsets[j]) <= leaked]
+    h_spins = [int(s) for s in h.spins]
+    depth = min(degree, len(keep))
+
+    targets = injection_table(params.n, params.k, params.L)
+    ranks = covered_ranks(targets, subset_table(params.k, params.r), params.n)[:, keep].tolist()
+    spins = [h_spins[j] for j in keep]
+    acc: dict[frozenset[int], int] = {}
+    for row in ranks:
+        cov = list(zip(row, spins))
+        for size in range(1, depth + 1):
+            for combo in itertools.combinations(cov, size):
+                prod = 1
+                key = []
+                for rank, spin in combo:
+                    prod *= spin
+                    key.append(rank)
+                fkey = frozenset(key)
+                acc[fkey] = acc.get(fkey, 0) + prod
+
+    sumsq_by_degree = [0] * max(degree, 1)
+    for key, s in acc.items():
+        sumsq_by_degree[len(key) - 1] += s * s
+    denom = n_emb * n_emb
+    cumulative = []
+    running = 0
+    for d in range(1, degree + 1):
+        running += sumsq_by_degree[d - 1]
+        cumulative.append(Fraction(running, denom) if rational else running / denom)
+    coefficients = {
+        key: (Fraction(s, n_emb) if rational else s / n_emb)
+        for key, s in acc.items() if s
+    }
+    return cumulative, coefficients
 
 
 def test_coefficient_single_edge_instance():
@@ -51,7 +111,7 @@ def test_one_pass_matches_per_alpha_reference():
     for (n, k, r, L, seed) in [(4, 3, 2, (), 0), (5, 3, 2, (0,), 1), (4, 4, 3, (0, 1), 2)]:
         p = ModelParams(n=n, k=k, r=r, L=L)
         h = sample_H(k, r, make_rng(seed))
-        rep = lr_squared_exact(h, p)
+        _, coefficients = reference_lr_squared(h, p)
         leaked = set(L)
         m = binom(n, r)
         candidates = [a for a in range(m)
@@ -59,8 +119,40 @@ def test_one_pass_matches_per_alpha_reference():
         for size in (1, 2):
             for alpha in itertools.combinations(candidates, size):
                 ref = fourier_coefficient(h, p, alpha)
-                got = rep.coefficients.get(frozenset(alpha), Fraction(0))
+                got = coefficients.get(frozenset(alpha), Fraction(0))
                 assert got == ref, (n, k, r, L, alpha)
+
+
+LR_SHAPES = [(4, 3, 2), (5, 4, 2), (6, 4, 2), (6, 5, 2), (4, 4, 3), (5, 4, 3), (6, 5, 3)]
+
+
+@pytest.mark.parametrize("n,k,r", LR_SHAPES)
+def test_lr_matches_enumerative_reference(n, k, r):
+    for ell in range(min(k, 3) + 1):
+        rng = make_rng(1000 * n + 100 * k + 10 * ell)
+        L = tuple(sorted(rng.choice(k, size=ell, replace=False).tolist()))
+        p = ModelParams(n=n, k=k, r=r, L=L)
+        h = sample_H(k, r, rng)
+        for degree in (None, 1, 2, 3):
+            for rational in (True, False):
+                rep = lr_squared_exact(h, p, degree, rational=rational)
+                ref, _ = reference_lr_squared(h, p, degree, rational=rational)
+                assert rep.cumulative == ref, (n, k, r, L, degree, rational)
+                assert all(type(x) is type(y) for x, y in zip(rep.cumulative, ref))
+                assert rep.degree == len(ref)
+
+
+def test_lr_work_guard_counts_overlap_entries():
+    # 9!/3! = 60480 embeddings x C(6, 2) = 15 coordinates: 907200 overlap
+    # entries, inside the guard, although the full-degree enumeration
+    # would walk 60480 * (2^15 - 1) character terms
+    p = ModelParams(n=9, k=6, r=2)
+    h = sample_H(6, 2, make_rng(21))
+    rep = lr_squared_exact(h, p)
+    assert rep.degree == binom(9, 2) and rep.n_embeddings == 60480
+    assert rep.at_degree(1) == reference_lr_squared(h, p, 1)[0][0]
+    for lo, hi in zip(rep.cumulative, rep.cumulative[1:]):
+        assert lo <= hi
 
 
 def test_lr_single_edge_value_and_monotonicity():
