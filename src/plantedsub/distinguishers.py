@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -35,26 +35,50 @@ CHUNK_BYTE_BUDGET = 1 << 26
 class Statistic:
     """A named test statistic with a vectorized evaluation path.
 
-    ``batch`` maps a (trials, C(n, r)) uint8 bit matrix to float values.
-    ``declared_degree`` is the polynomial degree the statistic is
-    accounted at when compared against the degree-capped likelihood
-    ratio.
+    ``columns`` is the sorted int64 array of host ranks the statistic
+    reads, or None when it reads every coordinate; it holds fewer than
+    C(n, r) ranks.  ``batch`` maps a uint8 bit matrix to float values and
+    accepts two widths: the full (trials, C(n, r)) matrix, or its
+    (trials, len(columns)) projection onto ``columns``, which is what the
+    Monte Carlo samplers draw for it.  ``declared_degree`` is the
+    polynomial degree the statistic is accounted at when compared against
+    the degree-capped likelihood ratio.
     """
 
     name: str
     declared_degree: int
     batch: Callable[[np.ndarray], np.ndarray]
+    columns: np.ndarray | None = field(default=None, compare=False)
 
     def evaluate(self, g: Hypergraph) -> float:
         return float(self.batch(g.bits[None, :])[0])
 
 
+def _columns_read(ranks: np.ndarray, m: int) -> np.ndarray | None:
+    """The sorted distinct host ranks in ``ranks``, or None when they are
+    all m coordinates: a statistic's ``columns``."""
+    columns = np.unique(ranks)
+    return None if columns.size == m else columns
+
+
+def _indices(bits: np.ndarray, ranks: np.ndarray, columns: np.ndarray | None) -> np.ndarray:
+    """``ranks`` as column indices of ``bits``: unchanged in a full
+    (trials, C(n, r)) matrix, renumbered into ``columns`` in its
+    (trials, len(columns)) projection.  Every ``batch`` reads through
+    here, so both widths give the same values."""
+    if columns is None or bits.shape[1] != columns.size:
+        return ranks
+    return np.searchsorted(columns, ranks)
+
+
 def make_edge_count(params: ModelParams) -> Statistic:
     """Sum of all C(n, r) spins; degree 1."""
     m = binom(params.n, params.r)
+    # a row sum never passes m, so below 2**16 it accumulates in uint16
+    acc = np.uint16 if m < 1 << 16 else np.int64
 
     def batch(bits):
-        return (m - 2 * bits.sum(axis=1, dtype=np.int64)).astype(np.float64)
+        return (m - 2 * bits.sum(axis=1, dtype=acc).astype(np.int64)).astype(np.float64)
 
     return Statistic("edgecount", 1, batch)
 
@@ -80,11 +104,13 @@ def make_subgraph_presence(h: Hypergraph, params: ModelParams, m: int | None = N
         raise GuardExceeded(f"{n_maps} placements x {width} coordinates exceed the scan guard")
     pattern = induced(h, list(range(m))).bits
     cand = covered_ranks(injection_table(params.n, m, ()), subset_table(m, params.r), params.n)
+    columns = _columns_read(cand, binom(params.n, params.r))
 
     def batch(bits):
-        return kernels.match_any_batch(bits, cand, pattern).astype(np.float64)
+        return kernels.match_any_batch(bits, _indices(bits, cand, columns),
+                                       pattern).astype(np.float64)
 
-    return Statistic("subgraph", width, batch)
+    return Statistic("subgraph", width, batch, columns)
 
 
 def default_probe_vertex(params: ModelParams) -> int:
@@ -126,11 +152,13 @@ def make_leakage_match(h: Hypergraph, params: ModelParams, w: int | None = None)
     stems = np.array([t + (ell,) for t in itertools.combinations(range(ell), r - 1)])
     pattern = h.bits[_stem_ranks(params.L, [w], stems, params.k)[0]]
     cand = _stem_ranks(params.L, _outside(params.L, params.n), stems, params.n)
+    columns = _columns_read(cand, binom(params.n, r))
 
     def batch(bits):
-        return kernels.match_any_batch(bits, cand, pattern).astype(np.float64)
+        return kernels.match_any_batch(bits, _indices(bits, cand, columns),
+                                       pattern).astype(np.float64)
 
-    return Statistic("leakmatch", binom(ell, r - 1), batch)
+    return Statistic("leakmatch", binom(ell, r - 1), batch, columns)
 
 
 def make_linear_leakage(h: Hypergraph, params: ModelParams) -> Statistic:
@@ -149,12 +177,14 @@ def make_linear_leakage(h: Hypergraph, params: ModelParams) -> Statistic:
     h_pos = _stem_ranks(stem, _outside(params.L, params.k), edge, params.k)[:, 0]
     target = 1 if h.spins[h_pos].sum() >= 0 else -1
     g_pos = _stem_ranks(stem, _outside(params.L, params.n), edge, params.n)[:, 0]
+    columns = _columns_read(g_pos, binom(params.n, r))
 
     def batch(bits):
-        sums = g_pos.size - 2 * bits[:, g_pos].sum(axis=1, dtype=np.int64)
+        stem_bits = bits[:, _indices(bits, g_pos, columns)]
+        sums = g_pos.size - 2 * stem_bits.sum(axis=1, dtype=np.int64)
         return (np.where(sums >= 0, 1, -1) == target).astype(np.float64)
 
-    return Statistic("linear", params.n - params.ell, batch)
+    return Statistic("linear", params.n - params.ell, batch, columns)
 
 
 def edge_count_stat(g: Hypergraph) -> float:
@@ -227,18 +257,23 @@ def estimate_advantage(stat: Statistic, h: Hypergraph, params: ModelParams,
 
     Trials are drawn in fixed-size chunks with substream seeds derived
     from (seed, side, chunk index) and reduced in chunk order, so the
-    result does not depend on scheduling.  A chunk holds ``_CHUNK``
-    trials, or fewer when their (trials, C(n, r)) uint8 bit matrix would
-    pass ``CHUNK_BYTE_BUDGET`` bytes.  The standard error comes from the
+    result does not depend on scheduling.  The samplers draw only the
+    statistic's ``columns`` (every coordinate when it has none), so one
+    trial's uint8 row is len(columns) or C(n, r) bytes; a chunk holds
+    ``_CHUNK`` trials, or fewer when their rows would pass
+    ``CHUNK_BYTE_BUDGET`` bytes.  The standard error comes from the
     first-order delta method on the normalized mean gap.
     """
     if trials < 2:
         raise ValidationError("need at least 2 trials")
-    coords = binom(params.n, params.r)
-    if coords > CHUNK_BYTE_BUDGET:
-        raise GuardExceeded(f"one trial's bit matrix row needs C(n, r) = {coords} bytes; "
+    if stat.columns is None:
+        row, what = binom(params.n, params.r), "C(n, r)"
+    else:
+        row, what = stat.columns.size, f"{stat.name}'s projection"
+    if row > CHUNK_BYTE_BUDGET:
+        raise GuardExceeded(f"one trial's bit matrix row needs {what} = {row} bytes; "
                             f"the chunk budget is {CHUNK_BYTE_BUDGET} bytes")
-    chunk = min(_CHUNK, CHUNK_BYTE_BUDGET // coords)
+    chunk = min(_CHUNK, CHUNK_BYTE_BUDGET // row)
     seed = params.seed if seed is None else seed
     sums_p = [0.0, 0.0]
     sums_q = [0.0, 0.0, 0.0, 0.0]
@@ -250,7 +285,8 @@ def estimate_advantage(stat: Statistic, h: Hypergraph, params: ModelParams,
         chunk_idx = 0
         while done < trials:
             size = min(chunk, trials - done)
-            bits = sampler(h, params, size, trial_rng(seed, side, chunk_idx))
+            bits = sampler(h, params, size, trial_rng(seed, side, chunk_idx),
+                           columns=stat.columns)
             vals = stat.batch(bits)
             for i, s in enumerate(_moment_sums(vals, depth)):
                 sums[i] += s

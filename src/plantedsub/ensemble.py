@@ -131,12 +131,21 @@ def covered_ranks(targets: np.ndarray, subsets: np.ndarray, n: int) -> np.ndarra
     table of injections [0, k) -> [0, n).
 
     Looked up in the order-free :func:`~plantedsub.hypercore.rank_lut`
-    when its n**r entries are no more than the E * S ranks asked for;
+    when its n**r entries are no more than the E * S ranks asked for, by
+    one flat index ``((t0 * n) + t1) * n + ...`` into the raveled table;
     otherwise each image is sorted and ranked.
     """
     rows, (cols, r) = targets.shape[0], subsets.shape
     if n ** r <= rows * cols:
-        return rank_lut(n, r)[tuple(targets[:, subsets[:, i]] for i in range(r))]
+        # one int32 index per rank is half the traffic of r int64 indices;
+        # np.take keeps the (E, S) result in row order, so a caller
+        # scattering by trial row walks each row's memory in turn
+        narrow = targets.astype(np.int32 if n ** r < 1 << 31 else np.int64)
+        flat = np.take(narrow, subsets[:, 0], axis=1)
+        for i in range(1, r):
+            flat *= n
+            flat += np.take(narrow, subsets[:, i], axis=1)
+        return rank_lut(n, r).ravel()[flat]
     images = np.sort(targets[:, subsets], axis=2).reshape(-1, r)
     return rank_rows(images, n).reshape(rows, cols)
 

@@ -190,8 +190,13 @@ def sample_null(h: Hypergraph, params: ModelParams, rng: np.random.Generator) ->
 def sample_embedding_targets_batch(params: ModelParams, trials: int,
                                    rng: np.random.Generator) -> np.ndarray:
     """(trials, k) int64 matrix of embedding targets, one uniform constrained
-    injection per row (random sort keys; first k - ell positions of each
-    row's ordering give a uniform ordered sample)."""
+    injection per row.
+
+    A partial Fisher-Yates shuffle of each row's non-leaked vertices: step
+    i swaps position i with a uniform position in [i, n - ell), one
+    ``rng.integers`` draw of ``trials`` values per step, and after k - ell
+    steps the first k - ell positions are a uniform ordered sample.
+    """
     leaked = set(params.L)
     avail = np.array([v for v in range(params.n) if v not in leaked], dtype=np.int64)
     free_src = np.array([u for u in range(params.k) if u not in leaked], dtype=np.int64)
@@ -199,40 +204,58 @@ def sample_embedding_targets_batch(params: ModelParams, trials: int,
     for u in params.L:
         phis[:, u] = u
     if free_src.size:
-        keys = rng.random((trials, avail.size))
-        order = np.argsort(keys, axis=1, kind="stable")[:, : free_src.size]
-        phis[:, free_src] = avail[order]
+        width = avail.size
+        pos = np.tile(np.arange(width, dtype=np.min_scalar_type(width - 1)), (trials, 1))
+        flat = pos.ravel()
+        row_start = np.arange(trials) * width
+        for i in range(free_src.size):
+            swap = rng.integers(i, width, size=trials) + row_start
+            head = pos[:, i].copy()
+            pos[:, i] = flat[swap]
+            flat[swap] = head
+        phis[:, free_src] = avail[pos[:, : free_src.size]]
     return phis
 
 
 def sample_planted_bits(h: Hypergraph, params: ModelParams, trials: int,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Batch planted sampler: (trials, C(n, r)) uint8 bit matrix.
+                        rng: np.random.Generator,
+                        columns: np.ndarray | None = None) -> np.ndarray:
+    """Batch planted sampler: (trials, C(n, r)) uint8 bit matrix, or
+    (trials, len(columns)) holding only the sorted host ranks ``columns``.
 
-    Embedding keys are drawn before the base coordinate matrix, whose
-    coins are drawn packed, eight to a random byte (:func:`_batch_coins`);
-    batch draws are deterministic for a fixed rng state but follow their
-    own draw order, distinct from repeated single-draw calls.
+    The embedding is drawn before the base coordinate matrix, whose
+    coins are drawn packed, eight to a random byte (:func:`_batch_coins`),
+    one per column; batch draws are deterministic for a fixed rng state
+    but follow their own draw order, distinct from repeated single-draw
+    calls.  Given ``columns``, the result equals the full matrix's
+    ``columns`` for the same embedding and base coins.
     """
     _check_shapes(h, params)
+    m = _host_coords(params)
     phis = sample_embedding_targets_batch(params, trials, rng)
-    bits = _batch_coins(trials, _host_coords(params), rng)
+    bits = _batch_coins(trials, m if columns is None else columns.size, rng)
     kernels.plant_batch(bits, phis, np.asarray(subset_table(params.k, params.r)),
-                        h.bits, params.n)
+                        h.bits, params.n, columns)
     return bits
 
 
 def sample_null_bits(h: Hypergraph, params: ModelParams, trials: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Batch null sampler: (trials, C(n, r)) uint8 bit matrix.
+                     rng: np.random.Generator,
+                     columns: np.ndarray | None = None) -> np.ndarray:
+    """Batch null sampler: (trials, C(n, r)) uint8 bit matrix, or
+    (trials, len(columns)) holding only the sorted host ranks ``columns``.
 
     The coins are drawn packed, eight to a random byte
-    (:func:`_batch_coins`), so the stream differs from repeated
-    single-draw calls.
+    (:func:`_batch_coins`), one per column, so the stream differs from
+    repeated single-draw calls.
     """
     _check_shapes(h, params)
-    bits = _batch_coins(trials, _host_coords(params), rng)
+    m = _host_coords(params)
+    bits = _batch_coins(trials, m if columns is None else columns.size, rng)
     covered, h_bits = _leaked_internal(h, params)
+    if columns is not None:
+        local = kernels.column_positions(covered, columns, m)
+        covered, h_bits = local[local >= 0], h_bits[local >= 0]
     bits[:, covered] = h_bits
     return bits
 

@@ -218,7 +218,7 @@ def test_estimate_advantage_chunks_within_byte_budget(monkeypatch):
 
     sizes = []
 
-    def stub_sampler(h, params, trials, rng):
+    def stub_sampler(h, params, trials, rng, columns=None):
         sizes.append(trials)
         return np.zeros((trials, 1), dtype=np.uint8)  # stands in for (trials, C(n, r))
 
@@ -243,3 +243,65 @@ def test_estimate_advantage_chunks_within_byte_budget(monkeypatch):
     with pytest.raises(GuardExceeded, match=f"71994000 bytes.*{CHUNK_BYTE_BUDGET} bytes"):
         estimate_advantage(stat, h, wide, trials=100, seed=1)
     assert sizes == []
+
+
+def test_estimate_advantage_chunks_by_projected_width(monkeypatch):
+    import dataclasses
+
+    import plantedsub.distinguishers as dist
+
+    calls = []
+
+    def stub_sampler(h, params, trials, rng, columns=None):
+        calls.append((trials, columns))
+        width = binom(params.n, params.r) if columns is None else columns.size
+        return np.zeros((trials, min(width, 1)), dtype=np.uint8)
+
+    monkeypatch.setattr(dist, "sample_planted_bits", stub_sampler)
+    monkeypatch.setattr(dist, "sample_null_bits", stub_sampler)
+    alternating = lambda bits: np.arange(bits.shape[0]) % 2.0  # noqa: E731
+    params = ModelParams(n=2000, k=6, r=2, L=(0, 1, 2, 3))
+    h = sample_H(6, 2, make_rng(0))
+    leak = make_leakage_match(h, params)
+    assert leak.columns.size == 4 * 1996 == 7984
+    stat = dataclasses.replace(leak, batch=alternating)
+    estimate_advantage(stat, h, params, trials=20000, seed=1)
+    assert [t for t, _ in calls] == 2 * [8192, 8192, 3616]  # 33 per chunk over C(n, r)
+    assert all(c is leak.columns for _, c in calls)
+
+    # a statistic that reads every coordinate keeps the C(n, r) chunking
+    calls.clear()
+    full = dataclasses.replace(make_edge_count(params), batch=alternating)
+    estimate_advantage(full, h, params, trials=100, seed=1)
+    assert [t for t, _ in calls] == 2 * [33, 33, 33, 1]
+    assert all(c is None for _, c in calls)
+
+    # past the coordinate count the budget allows, a projected row still fits
+    calls.clear()
+    wide = ModelParams(n=12000, k=6, r=2, L=(0, 1, 2, 3))
+    wide_stat = dataclasses.replace(make_leakage_match(h, wide), batch=alternating)
+    estimate_advantage(wide_stat, h, wide, trials=100, seed=1)
+    assert [t for t, _ in calls] == [100, 100]
+
+    # the guard fires only when one projected row passes the budget
+    calls.clear()
+    monkeypatch.setattr(dist, "CHUNK_BYTE_BUDGET", 2 * 7984)
+    estimate_advantage(stat, h, params, trials=6, seed=1)
+    assert [t for t, _ in calls] == 2 * [2, 2, 2]
+    calls.clear()
+    monkeypatch.setattr(dist, "CHUNK_BYTE_BUDGET", 7983)
+    with pytest.raises(GuardExceeded, match="7984 bytes.*7983 bytes"):
+        estimate_advantage(stat, h, params, trials=3, seed=1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [362, 363])
+def test_edge_count_sum_does_not_wrap(n):
+    # C(362, 2) = 65341 sums in uint16, C(363, 2) = 65703 >= 2**16 in int64
+    m = binom(n, 2)
+    assert (m < 2 ** 16) == (n == 362)
+    stat = make_edge_count(ModelParams(n=n, k=3, r=2))
+    bits = np.zeros((3, m), dtype=np.uint8)
+    bits[1] = 1
+    bits[2, ::2] = 1
+    assert stat.batch(bits).tolist() == [m, -m, m - 2 * ((m + 1) // 2)]

@@ -112,3 +112,17 @@ def test_match_any_matches_direct_scan(trials):
         expect = [int(any(all(bits[t, cand[c, p]] == patterns[p] for p in range(3))
                           for c in range(8))) for t in range(trials)]
         assert got.tolist() == expect
+
+
+@pytest.mark.parametrize("size", [5, 200])
+def test_column_positions_match_direct_lookup(size):
+    # 5 ranks take the binary search, 200 the inverse table (m = 45)
+    rng = make_rng(size)
+    m = 45
+    columns = np.sort(rng.choice(m, size=12, replace=False)).astype(np.int64)
+    ranks = rng.integers(0, m, size=(size // 5, 5)).astype(np.int64)
+    ranks[0, 0], ranks[-1, -1] = columns[0], m - 1
+    got = kernels.column_positions(ranks, columns, m)
+    where = {int(c): i for i, c in enumerate(columns)}
+    assert got.dtype == np.int32 and got.shape == ranks.shape
+    assert got.tolist() == [[where.get(int(v), -1) for v in row] for row in ranks]

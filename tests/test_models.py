@@ -8,7 +8,8 @@ import pytest
 from plantedsub.errors import GuardExceeded, ValidationError
 from plantedsub.hypercore import Hypergraph, binom, rank_subset, relabel
 from plantedsub.models import (ModelParams, chi_square, exact_pmf, make_rng,
-                               sample_H, sample_embedding, sample_null,
+                               sample_H, sample_embedding,
+                               sample_embedding_targets_batch, sample_null,
                                sample_null_bits, sample_planted,
                                sample_planted_bits, trial_rng, tv_distance,
                                tv_dict)
@@ -75,6 +76,26 @@ def test_embedding_frequencies_uniform():
     sigma = math.sqrt((1 / 6) * (5 / 6) / draws)
     for c in counts.values():
         assert abs(c / draws - 1 / 6) <= 3 * sigma
+
+
+@pytest.mark.parametrize("n,k,L", [(5, 3, (0,)), (4, 4, ())])
+def test_batch_embedding_draw_is_uniform(n, k, L):
+    # every constrained injection within 5 sigma of 1 / count; (4, 4, ())
+    # shuffles every free target, so the last step swaps a position with itself
+    p = ModelParams(n=n, k=k, r=2, L=L)
+    draws = 120_000
+    phis = sample_embedding_targets_batch(p, draws, make_rng(31))
+    assert phis.shape == (draws, k) and phis.dtype == np.int64
+    assert (phis[:, list(L)] == np.array(L, dtype=np.int64)).all()
+    assert (np.sort(phis, axis=1)[:, 1:] != np.sort(phis, axis=1)[:, :-1]).all()
+    assert ((0 <= phis) & (phis < n)).all()
+    free = [u for u in range(k) if u not in L]
+    assert np.isin(phis[:, free], list(L)).sum() == 0
+    count = math.perm(n - len(L), k - len(L))
+    rows, freq = np.unique(phis, axis=0, return_counts=True)
+    assert rows.shape[0] == count == (12 if L else 24)
+    sigma = math.sqrt((1 / count) * (1 - 1 / count) / draws)
+    assert np.abs(freq / draws - 1 / count).max() <= 5 * sigma
 
 
 def test_planted_embeds_template():
